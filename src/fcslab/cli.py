@@ -214,17 +214,18 @@ def cmd_generator(cfg, args, emit):
     kappa = _points(args.kappa, model.n_reservoirs,
                     [np.zeros(model.n_reservoirs)])[0]
     parts = build_deformed_lindblad(model, kappa)
-    evals = np.linalg.eigvals(parts.heisenberg.matrix)
+    matrix = parts.heisenberg.matrix
+    evals = np.linalg.eigvals(matrix)
     lead = evals[np.argmax(evals.real)]
     ones = np.eye(model.system.dim).ravel(order="F")
-    zero_parts = (parts if not np.any(kappa)
-                  else build_deformed_lindblad(
-                      model, np.zeros(model.n_reservoirs)))
-    trace_defect = float(np.abs(ones @ zero_parts.dual.matrix).max())
+    # the jump terms do not depend on kappa, so re-tilting to zero gives
+    # the kappa = 0 generator without a second build
+    dual_at_zero = parts.assemble(np.zeros(model.n_reservoirs)).conj().T
+    trace_defect = float(np.abs(ones @ dual_at_zero).max())
     emit.json("generator.json", {
         "kappa": [float(k) for k in kappa],
         "dim": model.system.dim,
-        "matrix": matrix_to_pairs(parts.heisenberg.matrix),
+        "matrix": matrix_to_pairs(matrix),
         "eigenvalues": [_complex_pair(z) for z in evals],
         "leading": _complex_pair(lead),
         "trace_defect_at_zero": trace_defect,
@@ -419,8 +420,9 @@ def cmd_trajectories(cfg, args, emit):
     jobs = _resolve(args, "jobs", os.cpu_count() or 1, int)
     n_samples = _resolve(args, "nsamples", 10_000, int)
     horizon = _resolve(args, "horizon", None, float)
+    solver = ScgfSolver(model)
     if horizon is None:
-        gap = ScgfSolver(model).leading(np.zeros(model.n_reservoirs)).gap
+        gap = solver.leading(np.zeros(model.n_reservoirs)).gap
         horizon = 100.0 / gap
     ens = sample(rp, horizon, n_samples, seed=seed, jobs=jobs)
     rows = [[str(i)] + [_fmt(v) for v in ens.y[i]] + [_fmt(ens.entropy[i])]
@@ -443,7 +445,7 @@ def cmd_trajectories(cfg, args, emit):
     emit.csv("traj_scgf.csv", header, rows)
 
     est, se = mean_current_estimates(ens)
-    mom = transport_moments(model, fd_check=False)
+    mom = transport_moments(solver, fd_check=False)
     lam2 = model.lam ** 2
     report = clt_test(ens, mom.mean_currents / lam2, mom.covariance / lam2)
     mids, ratios = entropy_asymmetry(ens)

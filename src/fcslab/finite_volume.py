@@ -158,7 +158,10 @@ class FiniteVolumeModel:
     runs over occupation configurations of all modes (reservoir 0 modes
     first, each mode big-endian).  reservoir_energy[k, m] is the energy in
     reservoir k of configuration m; gibbs_weights is the truncated,
-    renormalized thermal distribution over configurations.
+    renormalized thermal distribution over configurations.  gibbs_tail is
+    the largest single-mode thermal weight beyond its occupation cutoff,
+    max_j e^{-beta xi_j (n_max + 1)}, the quantity TruncationWarning
+    reports.
     """
 
     system: object
@@ -168,6 +171,7 @@ class FiniteVolumeModel:
     hamiltonian: np.ndarray
     reservoir_energy: np.ndarray        # (n_reservoirs, mode_dim)
     gibbs_weights: np.ndarray           # (mode_dim,)
+    gibbs_tail: float
     _eig: list = field(default=None, repr=False)
     _prop: dict = field(default_factory=dict, repr=False)
     _qcache: dict = field(default_factory=dict, repr=False)
@@ -334,7 +338,7 @@ def assemble(model, modes, dimension_cap=8192):
                              reservoirs=list(model.reservoirs),
                              modes=list(modes), lam=model.lam,
                              hamiltonian=ham, reservoir_energy=energy,
-                             gibbs_weights=weights)
+                             gibbs_weights=weights, gibbs_tail=float(worst))
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +577,8 @@ class WeakCouplingRow:
     f_finite: float              # (1/t) log chi
     f_fgr: float                 # lam^2 * leading eigenvalue
     deviation: float             # relative gap
+    gibbs_tail: float = 0.0      # FiniteVolumeModel.gibbs_tail of the instance
+    horizon_fraction: float = 0.0   # t / recurrence horizon
 
 
 @dataclass
@@ -607,12 +613,14 @@ def weak_coupling_compare(model, kappas, lams, n_modes=3, n_max=2,
     lambda-independent overlap offset from (1/t) log chi, or the maximally
     mixed state ('mixed').
 
-    The instances are assembled with TruncationWarning silenced, so the
-    deviation includes the instance's own occupation-truncation and bath
-    discretization bias, not only the higher orders in lambda.  For
-    n_modes=3, n_max=2, spacing_margin=1.0 on the reference qubit that bias
-    is 0.354 already at O(lambda^2) (lambda = 0.2, median over five kappa):
-    the hot-bath Gibbs tail beyond n_max = 2 is about e^-3.
+    The instances are assembled with TruncationWarning silenced; each row
+    records the instance's Gibbs tail and t / recurrence horizon instead.
+    The deviation therefore includes the instance's own occupation-
+    truncation and bath discretization bias, not only the higher orders in
+    lambda.  For n_modes=3, n_max=2, spacing_margin=1.0 on the reference
+    qubit that bias is 0.354 already at O(lambda^2) (lambda = 0.2, median
+    over five kappa): the hot-bath Gibbs tail beyond n_max = 2 is about
+    e^-3.
     """
     from .scgf import ScgfSolver
 
@@ -659,6 +667,8 @@ def weak_coupling_compare(model, kappas, lams, n_modes=3, n_max=2,
             table.rows.append(WeakCouplingRow(
                 lam=float(lam), t=float(t), kappa=kappa,
                 chi=float(chi.real), f_finite=f_fin, f_fgr=f_fgr,
-                deviation=abs(f_fin - f_fgr) / denom))
+                deviation=abs(f_fin - f_fgr) / denom,
+                gibbs_tail=fv.gibbs_tail,
+                horizon_fraction=float(t / horizon)))
     return table
 

@@ -25,6 +25,7 @@ trace-preserving one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,8 +212,19 @@ def _graded_edges(start, end, breakpoints, base):
     return all_panels
 
 
-def _gauss_sum(fn, edge_arrays, nodes):
+@functools.lru_cache(maxsize=32)
+def _gauss_rule(nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node
+    count (each leggauss call is an eigenvalue problem).  The arrays are
+    shared by every caller, so they are read-only."""
     x0, w0 = np.polynomial.legendre.leggauss(nodes)
+    x0.flags.writeable = False
+    w0.flags.writeable = False
+    return x0, w0
+
+
+def _gauss_sum(fn, edge_arrays, nodes):
+    x0, w0 = _gauss_rule(nodes)
     total = 0.0
     for edges in edge_arrays:
         lo = edges[:-1]

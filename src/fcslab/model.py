@@ -273,9 +273,6 @@ class SpectralDensity:
             return [float(x) for x in self.table_omega]
         return []
 
-    def decays_smoothly(self):
-        return self.form in ("ohmic", "gaussian")
-
     def config_dict(self):
         if self.form == "table":
             return {"form": "table",
@@ -393,12 +390,7 @@ class EffectiveDensity:
         """Interval [lo, hi] outside which G is negligible (or exactly 0)."""
         if self.base is not None:
             hi = self.base.support_max()
-            if self.base.decays_smoothly():
-                # negative side decays like e^{beta omega} J(-omega)
-                lo = -hi
-            else:
-                lo = -hi
-            return (lo, hi)
+            return (-hi, hi)
         # unknown support: expand by doubling until G is tiny
         hi = 1.0
         peak = max(float(np.max(self(np.linspace(-8, 8, 257)))), 1e-300)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
-import scipy.stats
 
 from .errors import (
     ConfigError,
@@ -417,6 +416,10 @@ def clt_test(ens, currents, covariance, significance=0.01, jitter_scale=0.6,
     jitter_scale times the coarsest lattice step of that component's
     increments, scaled by 1/sqrt(T).
     """
+    # imported here: scipy.stats costs about a second of start-up, and only
+    # this test uses it
+    import scipy.stats
+
     rp = ens.process
     currents = np.asarray(currents, dtype=float)
     covariance = np.asarray(covariance, dtype=float)

@@ -1,12 +1,18 @@
 """End-to-end command line checks, run in process through cli.main."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fcslab import dump_config, model_to_dict
+import fcslab
+import fcslab.cli
+from fcslab import dump_config, load_config, model_to_dict
 from fcslab.cli import main
+from fcslab.scgf import ScgfSolver
 
 import oracles
 
@@ -77,6 +83,54 @@ def test_generator_leading_matches_hand_matrix(config_path, tmp_path):
     np.testing.assert_allclose(payload["leading"][0], expected, rtol=1e-10)
     assert abs(payload["leading"][1]) < 1e-12
     assert len(payload["matrix"]) == 16
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(fcslab.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import fcslab, fcslab.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_generator_builds_once(config_path, tmp_path, monkeypatch):
+    builds = []
+    build = fcslab.cli.build_deformed_lindblad
+
+    def counting(*args, **kwargs):
+        builds.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(fcslab.cli, "build_deformed_lindblad", counting)
+    rc, _ = run(["generator", "--config", config_path,
+                 "--out", str(tmp_path), "--kappa", "0.4,0"])
+    assert rc == 0
+    assert len(builds) == 1
+    # the kappa = 0 dual comes from re-tilting that one build; it matches a
+    # separately built kappa = 0 generator to the bit
+    model = load_config(config_path).model
+    zero = build(model, np.zeros(model.n_reservoirs))
+    ones = np.eye(model.system.dim).ravel(order="F")
+    payload = json.loads((tmp_path / "generator.json").read_text())
+    assert payload["trace_defect_at_zero"] == float(
+        np.abs(ones @ zero.dual.matrix).max())
+
+
+def test_trajectories_builds_one_solver(config_path, tmp_path, monkeypatch):
+    inits = []
+    init = ScgfSolver.__init__
+
+    def counting(self, *args, **kwargs):
+        inits.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScgfSolver, "__init__", counting)
+    rc, _ = run(["trajectories", "--config", config_path,
+                 "--out", str(tmp_path), "--nsamples", "200", "--jobs", "1"])
+    assert rc == 0
+    assert len(inits) == 1
 
 
 def test_scgf_scan_symmetric_endpoints(config_path, tmp_path):

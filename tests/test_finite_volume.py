@@ -465,6 +465,21 @@ def test_weak_coupling_table_structure(qubit_model):
     assert row.f_fgr == pytest.approx(
         qubit_scgf_physical(np.array([0.3, 0.0]), 0.35), rel=1e-9)
     assert row.chi > 0
+    assert all(r.gibbs_tail == 0.0 and r.horizon_fraction == 0.0
+               for r in tab.rows[:2])
+    assert 0.0 < row.gibbs_tail < 1.0
+    assert row.horizon_fraction == pytest.approx(0.8, rel=1e-9)
+
+
+def test_weak_coupling_rows_record_truncation_margins(qubit_model):
+    # the pinned criterion-07 family at lambda = 0.2: t sits on the
+    # recurrence horizon and the hot-bath tail beyond n_max = 2 is ~e^-3
+    tab = weak_coupling_compare(qubit_model, [np.array([0.25, 0.5])],
+                                lams=[0.2], n_modes=3, n_max=2,
+                                spacing_margin=1.0)
+    row = tab.rows[0]
+    assert row.gibbs_tail == pytest.approx(0.0726, abs=1e-3)
+    assert abs(row.horizon_fraction - 1.0) <= 1e-9
 
 
 def test_weak_coupling_recurrence_guard(qubit_model):

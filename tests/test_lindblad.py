@@ -20,6 +20,7 @@ from fcslab import (
     vec,
 )
 from fcslab.errors import QuadratureNotConverged
+from fcslab.lindblad import _gauss_rule
 
 from conftest import (
     SIGMA_X,
@@ -94,6 +95,21 @@ def test_pv_diverges_for_thermal_flat_density_from_zero():
     g = effective_density(res)
     with pytest.raises(QuadratureNotConverged):
         principal_value(g, 1.0, QuadratureParams(max_refine=5))
+
+
+def test_gauss_rule_cache_is_exact_and_read_only():
+    for n in (12 * 2 ** k for k in range(8)):          # 12 ... 1536
+        x, w = _gauss_rule(n)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    g = effective_density(canonical_reservoirs()[0])
+    _gauss_rule.cache_clear()
+    cold = principal_value(g, 1.0)
+    assert _gauss_rule.cache_info().currsize > 0
+    assert principal_value(g, 1.0) == cold
 
 
 # ---------------------------------------------------------------------------
