@@ -20,7 +20,6 @@ from .model import (
     make_model,
 )
 from .lindblad import (
-    Superoperator,
     QuadratureParams,
     GeneratorParts,
     vec,
@@ -28,14 +27,12 @@ from .lindblad import (
     principal_value,
     compute_upsilon,
     build_deformed_lindblad,
-    semigroup,
 )
 from .scgf import (
     ScgfSolver,
     ScgfResult,
     TransportMoments,
     transport_moments,
-    clt_normalization,
     gc_symmetry_defect,
     rate_function,
 )
@@ -43,7 +40,6 @@ from .finite_volume import (
     ReservoirModes,
     FiniteVolumeModel,
     TpmDistribution,
-    discretize_reservoir,
     resonant_modes,
     assemble,
     characteristic_function,
@@ -89,13 +85,12 @@ __all__ = [
     "ModelConfig", "build_system", "density_from_config", "effective_density",
     "bose_occupation", "check_fgr_irreducibility", "default_domain_box",
     "make_model",
-    "Superoperator", "QuadratureParams", "GeneratorParts", "vec", "unvec",
+    "QuadratureParams", "GeneratorParts", "vec", "unvec",
     "principal_value", "compute_upsilon", "build_deformed_lindblad",
-    "semigroup",
     "ScgfSolver", "ScgfResult", "TransportMoments", "transport_moments",
-    "clt_normalization", "gc_symmetry_defect", "rate_function",
+    "gc_symmetry_defect", "rate_function",
     "ReservoirModes", "FiniteVolumeModel", "TpmDistribution",
-    "discretize_reservoir", "resonant_modes", "assemble",
+    "resonant_modes", "assemble",
     "characteristic_function", "tpm_distribution", "correlation_function",
     "weak_coupling_compare",
     "CompressedDynamics", "PolymerBlocks", "TransferOperator",

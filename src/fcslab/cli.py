@@ -32,7 +32,7 @@ from .config import (
     load_config,
     matrix_to_pairs,
 )
-from .errors import AssumptionError, ConfigError, FcsError
+from .errors import ConfigError, FcsError
 from .finite_volume import (
     assemble,
     characteristic_function,
@@ -214,7 +214,7 @@ def cmd_generator(cfg, args, emit):
     kappa = _points(args.kappa, model.n_reservoirs,
                     [np.zeros(model.n_reservoirs)])[0]
     parts = build_deformed_lindblad(model, kappa)
-    matrix = parts.heisenberg.matrix
+    matrix = parts.heisenberg
     evals = np.linalg.eigvals(matrix)
     lead = evals[np.argmax(evals.real)]
     ones = np.eye(model.system.dim).ravel(order="F")
@@ -278,8 +278,12 @@ def cmd_moments(cfg, args, emit):
 
 def cmd_rate_function(cfg, args, emit):
     model = cfg.model
-    active = ([int(x) for x in _float_list(args.active)]
-              if args.active is not None else list(range(model.n_reservoirs)))
+    active = list(range(model.n_reservoirs))
+    if args.active is not None:
+        try:
+            active = [int(x) for x in args.active.split(",") if x != ""]
+        except ValueError as err:
+            raise ConfigError(f"bad value for --active: {err}") from err
     if args.alpha is None:
         raise ConfigError("rate-function needs at least one --alpha point")
     alphas = _points(args.alpha, len(active), None)
@@ -510,7 +514,6 @@ def build_parser():
         p = sub.add_parser(name, parents=[common])
         for flag, kwargs in extra.items():
             p.add_argument(f"--{flag}", **kwargs)
-        return p
 
     add("validate")
     add("generator", kappa={"action": "append"})
@@ -518,25 +521,13 @@ def build_parser():
     add("gc-check", nu={})
     add("moments")
     add("rate-function", alpha={"action": "append"}, active={})
-    p = sub.add_parser("fv-compare", parents=[common])
-    p.add_argument("--kappa", action="append")
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--modes")
-    p.add_argument("--nocc")
-    p.add_argument("--tfactor")
-    p.add_argument("--margin")
+    lam = {"lambda": {"dest": "lam"}}         # --lambda is a Python keyword
+    add("fv-compare", kappa={"action": "append"}, **lam, modes={}, nocc={},
+        tfactor={}, margin={})
     add("fv-tpm", kappa={"action": "append"}, tmax={}, modes={}, nocc={},
         margin={})
-    p = sub.add_parser("transfer", parents=[common])
-    p.add_argument("--kappa", action="append")
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--tau")
-    p.add_argument("--nmax")
-    p.add_argument("--nblocks")
-    p.add_argument("--nblock")
-    p.add_argument("--modes")
-    p.add_argument("--nocc")
-    p.add_argument("--margin")
+    add("transfer", kappa={"action": "append"}, **lam, tau={}, nmax={},
+        nblocks={}, nblock={}, modes={}, nocc={}, margin={})
     add("trajectories", kappa={"action": "append"}, nsamples={}, horizon={})
     return parser
 
@@ -590,10 +581,6 @@ def main(argv=None):
         json.dump(_error_payload(2, err), sys.stderr)
         sys.stderr.write("\n")
         return 2
-    except AssumptionError as err:
-        json.dump(_error_payload(3, err), sys.stderr)
-        sys.stderr.write("\n")
-        return 3
     except FcsError as err:
         json.dump(_error_payload(3, err), sys.stderr)
         sys.stderr.write("\n")

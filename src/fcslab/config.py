@@ -115,8 +115,7 @@ def _build_modes(section, reservoirs, path):
                               "equal-length lists")
         modes.append(ReservoirModes(label=res.label, beta=res.beta,
                                     frequencies=freq, couplings=coup,
-                                    n_max=int(entry["n_occ"]),
-                                    scheme="pinned"))
+                                    n_max=int(entry["n_occ"])))
     return modes
 
 

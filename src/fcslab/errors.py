@@ -1,9 +1,10 @@
 """Exception and warning types shared across the package.
 
-Two error families matter for the command line tool: ConfigError (and plain
-ValueError) mean the user gave us something malformed, while AssumptionError
-subclasses mean a numerical hypothesis the method relies on failed at run
-time.  The CLI maps the former to exit code 2 and the latter to exit code 3.
+Two error families matter for the command line tool: ConfigError means the
+user gave us something malformed, while AssumptionError subclasses mean a
+numerical hypothesis the method relies on failed at run time.  The CLI maps
+the former to exit code 2 and every other FcsError to exit code 3; any other
+exception is a defect and ends the run with a traceback.
 """
 
 

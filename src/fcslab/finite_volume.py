@@ -53,7 +53,6 @@ class ReservoirModes:
     frequencies: np.ndarray
     couplings: np.ndarray
     n_max: int
-    scheme: str = "uniform"
 
     def __post_init__(self):
         self.frequencies = np.asarray(self.frequencies, dtype=float)
@@ -79,51 +78,6 @@ class ReservoirModes:
             return np.inf
         return float(np.diff(np.sort(self.frequencies)).min())
 
-    def to_dict(self):
-        return {"label": self.label, "beta": float(self.beta),
-                "frequencies": [float(x) for x in self.frequencies],
-                "couplings": [float(x) for x in self.couplings],
-                "n_max": self.n_max, "scheme": self.scheme}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(label=d["label"], beta=float(d["beta"]),
-                   frequencies=np.asarray(d["frequencies"], dtype=float),
-                   couplings=np.asarray(d["couplings"], dtype=float),
-                   n_max=int(d["n_max"]), scheme=d.get("scheme", "uniform"))
-
-
-def discretize_reservoir(reservoir, n_modes, xi_range, scheme="uniform",
-                         n_max=2):
-    """Place n_modes oscillator modes on xi_range with g_j^2 = J(xi_j) w_j.
-
-    scheme 'uniform' uses midpoints with equal weights, 'gauss' uses
-    Gauss-Legendre nodes; both make sum g_j^2 f(xi_j) converge to the
-    integral of J f over the range.
-    """
-    lo, hi = float(xi_range[0]), float(xi_range[1])
-    if not (0 <= lo < hi):
-        raise EmptyRange(f"mode range ({lo}, {hi}) must satisfy 0 <= lo < hi")
-    n_modes = int(n_modes)
-    if n_modes < 1:
-        raise EmptyRange("need at least one mode")
-    if scheme == "uniform":
-        width = (hi - lo) / n_modes
-        xi = lo + width * (np.arange(n_modes) + 0.5)
-        w = np.full(n_modes, width)
-    elif scheme == "gauss":
-        nodes, weights = np.polynomial.legendre.leggauss(n_modes)
-        xi = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        w = 0.5 * (hi - lo) * weights
-    else:
-        raise ConfigError(f"unknown discretization scheme '{scheme}'")
-    if np.any(xi <= 0):
-        raise EmptyRange("discretization produced non-positive frequencies")
-    g = np.sqrt(reservoir.density(xi) * w)
-    return ReservoirModes(label=reservoir.label, beta=reservoir.beta,
-                          frequencies=xi, couplings=g, n_max=n_max,
-                          scheme=scheme)
-
 
 def resonant_modes(system, reservoir, n_modes, spacing, n_max=2):
     """Modes on uniform grids of the given spacing centered on every positive
@@ -142,8 +96,7 @@ def resonant_modes(system, reservoir, n_modes, spacing, n_max=2):
         g.append(np.sqrt(reservoir.density(nodes) * spacing))
     return ReservoirModes(label=reservoir.label, beta=reservoir.beta,
                           frequencies=np.concatenate(xi),
-                          couplings=np.concatenate(g), n_max=n_max,
-                          scheme="uniform")
+                          couplings=np.concatenate(g), n_max=n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -219,22 +172,6 @@ class FiniteVolumeModel:
                 self._eig = data
         return self._eig
 
-    def eigensystem(self):
-        """Full (eps, vecs) of H in ascending order, assembled from the
-        block data; prefer propagator() downstream so large instances keep
-        the block structure."""
-        data = self._eig_data()
-        if len(data) == 1:
-            return data[0][1], data[0][2]
-        eps = np.concatenate([e for _, e, _ in data])
-        vecs = np.zeros((self.dim, self.dim), dtype=complex)
-        pos = 0
-        for idx, e, v in data:
-            vecs[idx, pos:pos + len(e)] = v
-            pos += len(e)
-        order = np.argsort(eps, kind="stable")
-        return eps[order], vecs[:, order]
-
     def propagator(self, t):
         """U = exp(-i t H), cached for the handful of times in active use."""
         key = float(t)
@@ -252,10 +189,6 @@ class FiniteVolumeModel:
                         (vecs * np.exp(-1j * eps * t)) @ vecs.conj().T
             self._prop[key] = u
         return self._prop[key]
-
-    def config_dict(self):
-        return {"lam": float(self.lam),
-                "modes": [m.to_dict() for m in self.modes]}
 
 
 def _mode_occupations(dims):
@@ -420,10 +353,10 @@ def characteristic_function(fv, rho_system, kappa, t):
     return complex(phase_out @ Q @ phase_in)
 
 
-def _group_energy_vectors(energy, tol):
+def _group_energy_vectors(energy):
     """Cluster configuration energy vectors; returns (labels, values)."""
     scale = max(1.0, float(np.abs(energy).max()))
-    keys = np.round(energy / (tol * scale)).astype(np.int64)
+    keys = np.round(energy / (GROUP_TOL * scale)).astype(np.int64)
     uniq, labels = np.unique(keys.T, axis=0, return_inverse=True)
     values = np.zeros((len(uniq), energy.shape[0]))
     counts = np.bincount(labels, minlength=len(uniq)).astype(float)
@@ -433,7 +366,7 @@ def _group_energy_vectors(energy, tol):
     return labels, values
 
 
-def tpm_distribution(fv, rho_system, t, group_tol=GROUP_TOL):
+def tpm_distribution(fv, rho_system, t):
     """Distribution of y = (measured final - initial) reservoir energies.
 
     At lam = 0 or t = 0 the reservoir energies are conserved and the
@@ -447,7 +380,7 @@ def tpm_distribution(fv, rho_system, t, group_tol=GROUP_TOL):
                                probabilities=np.array([1.0]), t=float(t))
     rho = _check_rho(rho_system, fv.sys_dim)
     Q = _q_matrix(fv, rho, t)
-    labels, values = _group_energy_vectors(fv.reservoir_energy, group_tol)
+    labels, values = _group_energy_vectors(fv.reservoir_energy)
     # aggregate Q over (final group, initial group), Gibbs-weighting columns
     wq = Q * fv.gibbs_weights[None, :]
     return _reduce_groups(wq, labels, values, t)

@@ -29,13 +29,12 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigError, QuadratureNotConverged
 from .model import effective_density
 
 # ---------------------------------------------------------------------------
-# superoperators
+# vectorization
 # ---------------------------------------------------------------------------
 
 
@@ -49,92 +48,6 @@ def unvec(v, d=None):
     if d is None:
         d = int(round(np.sqrt(v.size)))
     return v.reshape(d, d, order="F")
-
-
-class Superoperator:
-    """Dense linear map on d x d matrices, stored as a d^2 x d^2 array."""
-
-    def __init__(self, matrix, dim=None):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConfigError(f"superoperator matrix must be square, got {m.shape}")
-        if dim is None:
-            dim = int(round(np.sqrt(m.shape[0])))
-        if dim * dim != m.shape[0]:
-            raise ConfigError("superoperator side must be a perfect square")
-        self.matrix = m
-        self.dim = dim
-
-    def __call__(self, s):
-        return unvec(self.matrix @ vec(s), self.dim)
-
-    def adjoint(self):
-        """Hilbert-Schmidt adjoint: <A, L S> = <L^+ A, S>."""
-        return Superoperator(self.matrix.conj().T, self.dim)
-
-    def __add__(self, other):
-        return Superoperator(self.matrix + other.matrix, self.dim)
-
-    def __sub__(self, other):
-        return Superoperator(self.matrix - other.matrix, self.dim)
-
-    def __mul__(self, scalar):
-        return Superoperator(self.matrix * scalar, self.dim)
-
-    __rmul__ = __mul__
-
-    def compose(self, other):
-        return Superoperator(self.matrix @ other.matrix, self.dim)
-
-    @staticmethod
-    def left_mult(a):
-        a = np.asarray(a, dtype=complex)
-        return Superoperator(np.kron(np.eye(a.shape[0]), a), a.shape[0])
-
-    @staticmethod
-    def right_mult(b):
-        b = np.asarray(b, dtype=complex)
-        return Superoperator(np.kron(b.T, np.eye(b.shape[0])), b.shape[0])
-
-    @staticmethod
-    def sandwich(a, b):
-        """S -> A S B."""
-        a = np.asarray(a, dtype=complex)
-        b = np.asarray(b, dtype=complex)
-        return Superoperator(np.kron(b.T, a), a.shape[0])
-
-    @staticmethod
-    def hamiltonian_commutator(e):
-        """M(S) = i [E, S], the generator of the free evolution."""
-        e = np.asarray(e, dtype=complex)
-        eye = np.eye(e.shape[0])
-        return Superoperator(1j * (np.kron(eye, e) - np.kron(e.T, eye)), e.shape[0])
-
-    # -- text serialization (dimension header + row-major entries) ---------
-
-    def to_text(self):
-        n = self.matrix.shape[0]
-        lines = [f"superoperator {self.dim} {n}"]
-        for row in self.matrix:
-            lines.append(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        head = lines[0].split()
-        if len(head) != 3 or head[0] != "superoperator":
-            raise ConfigError("bad superoperator header")
-        dim, n = int(head[1]), int(head[2])
-        if len(lines) != n + 1:
-            raise ConfigError(f"expected {n} matrix rows, got {len(lines) - 1}")
-        rows = []
-        for ln in lines[1:]:
-            vals = [float(x) for x in ln.split()]
-            if len(vals) != 2 * n:
-                raise ConfigError("bad superoperator row length")
-            rows.append([complex(vals[2 * j], vals[2 * j + 1]) for j in range(n)])
-        return cls(np.array(rows), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +216,10 @@ def principal_value(density, omega, quad=None):
 class GeneratorParts:
     """Assembled deformed generator plus the pieces it was built from.
 
-    heisenberg: the unital-convention superoperator L_kappa.
-    dual: its Hilbert-Schmidt adjoint (trace-preserving at kappa = 0).
+    heisenberg: the d^2 x d^2 matrix of the unital-convention generator
+    L_kappa in the column-major vec convention.
+    dual: its conjugate transpose, the Hilbert-Schmidt adjoint
+    (trace-preserving at kappa = 0).
     jump_terms: per (reservoir, omega) superoperator matrices S -> A^* S A
     with the 2 pi G factor included but without the counting weight, so
     re-tilting at another kappa is a cheap weighted sum.
@@ -315,18 +230,17 @@ class GeneratorParts:
     kappa: np.ndarray
     variant: str
     upsilon: np.ndarray
-    lamb_shift_values: dict            # (k, omega) -> H_k(omega)
     drift_matrix: np.ndarray
     jump_terms: list                   # entries (k, omega, matrix)
     channels: list = field(default_factory=list)   # (k, omega, rate, jump op)
 
     @property
     def heisenberg(self):
-        return Superoperator(self.assemble(self.kappa), self.dim)
+        return self.assemble(self.kappa)
 
     @property
     def dual(self):
-        return Superoperator(self.assemble(self.kappa).conj().T, self.dim)
+        return self.assemble(self.kappa).conj().T
 
     def assemble(self, kappa):
         """Heisenberg-convention matrix of L_kappa for an arbitrary kappa."""
@@ -408,8 +322,8 @@ def build_deformed_lindblad(model, kappa, variant=None, quad=None):
     system = model.system
     d = system.dim
 
-    upsilon, h_values = compute_upsilon(system, model.reservoirs, quad=quad,
-                                        lamb_shift=model.lamb_shift)
+    upsilon, _ = compute_upsilon(system, model.reservoirs, quad=quad,
+                                 lamb_shift=model.lamb_shift)
     eye = np.eye(d)
     drift = -1j * (np.kron(eye, upsilon) - np.kron(upsilon.conj(), eye))
 
@@ -436,15 +350,6 @@ def build_deformed_lindblad(model, kappa, variant=None, quad=None):
                                    rate * np.kron(a_total.T, a_total.conj().T)))
 
     return GeneratorParts(dim=d, lam=model.lam, kappa=kappa, variant=variant,
-                          upsilon=upsilon, lamb_shift_values=h_values,
-                          drift_matrix=drift, jump_terms=jump_terms,
-                          channels=channels)
+                          upsilon=upsilon, drift_matrix=drift,
+                          jump_terms=jump_terms, channels=channels)
 
-
-def semigroup(superop, t, s):
-    """Apply e^{t L} to the matrix s (t >= 0)."""
-    if t < 0:
-        raise ConfigError("semigroup time must be >= 0")
-    mat = superop.matrix if isinstance(superop, Superoperator) else superop
-    d = int(round(np.sqrt(mat.shape[0])))
-    return unvec(expm(t * mat) @ vec(s), d)

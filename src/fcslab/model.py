@@ -67,9 +67,6 @@ class SystemSpec:
     def nondegenerate(self):
         return bool(np.all(self.multiplicities == 1))
 
-    def projection(self, g):
-        return self.projections[g]
-
 
 def require_hermitian(matrix, name="matrix", tol=HERMITICITY_TOL):
     m = np.asarray(matrix, dtype=complex)
@@ -593,9 +590,6 @@ class ModelConfig:
     @property
     def n_reservoirs(self):
         return len(self.reservoirs)
-
-    def densities(self):
-        return [effective_density(r) for r in self.reservoirs]
 
     def with_lam(self, lam):
         """Copy of the model at a different coupling strength."""

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    ConfigError,
     DerivativeMismatch,
     EigenvalueCollision,
     NonConvexObjective,
@@ -241,16 +242,6 @@ def transport_moments(model_or_solver, fd_check=True, fd_step=None,
         fd_gradient_error=err_g, fd_hessian_error=err_h)
 
 
-def clt_normalization(moments):
-    """Gaussian parameters of the centered, sqrt(t)-scaled counting vector.
-
-    The standardized transfer b_t = (y_t - t * mean)/sqrt(t) converges to a
-    centered Gaussian with covariance equal to the f-Hessian at 0; the
-    limiting characteristic function is exp(-(gamma | cov gamma)/2).
-    """
-    return moments.mean_currents.copy(), moments.covariance.copy()
-
-
 def _richardson_gradient(fn, x, h):
     grad = np.zeros_like(x)
     for i in range(len(x)):
@@ -347,14 +338,28 @@ def rate_function(model_or_solver, alphas, active=None, tol=1e-11,
     clamped at 0 (marginal statistics of the active counters).  alphas is
     then an array of vectors over the active coordinates.  Minimizers are
     pushed toward the smallest norm along flat directions of the Hessian.
+
+    Raises ConfigError when an active index is not an integer, out of
+    range or repeated, or when an alpha vector has the wrong length or a
+    non-finite entry.
     """
     solver = _as_solver(model_or_solver)
     n_res = solver.model.n_reservoirs
     active = list(range(n_res)) if active is None else list(active)
+    for i in active:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ConfigError(f"active index {i!r} is not an integer")
+        if not 0 <= i < n_res:
+            raise ConfigError(f"active index {i} is out of range for "
+                              f"{n_res} reservoirs")
+    if len(set(active)) != len(active):
+        raise ConfigError(f"active indices {active} repeat a reservoir")
     box = solver.model.domain_box[active]
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
     if alphas.shape[1] != len(active):
-        raise ValueError("alpha vectors must match the active coordinates")
+        raise ConfigError("alpha vectors must match the active coordinates")
+    if not np.all(np.isfinite(alphas)):
+        raise ConfigError("alpha vectors must be finite")
 
     if convexity_check:
         _convexity_probe(solver, active, box)
@@ -366,7 +371,7 @@ def rate_function(model_or_solver, alphas, active=None, tol=1e-11,
     return table
 
 
-def _embed(kappa_active, active, n_res):
+def _full_kappa(kappa_active, active, n_res):
     full = np.zeros(n_res)
     full[active] = kappa_active
     return full
@@ -380,9 +385,9 @@ def _convexity_probe(solver, active, box, n_segments=4, seed=97):
     for _ in range(n_segments):
         a = box[:, 0] + span * rng.uniform(0.05, 0.95, size=len(active))
         b = box[:, 0] + span * rng.uniform(0.05, 0.95, size=len(active))
-        fa = solver.f(_embed(a, active, n_res))
-        fb = solver.f(_embed(b, active, n_res))
-        fm = solver.f(_embed(0.5 * (a + b), active, n_res))
+        fa = solver.f(_full_kappa(a, active, n_res))
+        fb = solver.f(_full_kappa(b, active, n_res))
+        fm = solver.f(_full_kappa(0.5 * (a + b), active, n_res))
         scale = max(1.0, abs(fa), abs(fb))
         if fm > 0.5 * (fa + fb) + 1e-9 * scale:
             raise NonConvexObjective(
@@ -398,14 +403,14 @@ def _newton_minimize(solver, alpha, active, box, tol, max_iter):
     edge = 1e-8 * np.maximum(1.0, hi - lo)
 
     def objective(ka):
-        return float(ka @ alpha + solver.f(_embed(ka, active, n_res)))
+        return float(ka @ alpha + solver.f(_full_kappa(ka, active, n_res)))
 
     value = objective(kappa)
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
         _, grad_f, hess_f = solver.gradient_and_hessian(
-            _embed(kappa, active, n_res))
+            _full_kappa(kappa, active, n_res))
         grad = alpha + grad_f[active]
         hess = hess_f[np.ix_(active, active)]
 
@@ -455,7 +460,8 @@ def _newton_minimize(solver, alpha, active, box, tol, max_iter):
             break
 
     # push flat components toward the smallest norm
-    _, grad_f, hess_f = solver.gradient_and_hessian(_embed(kappa, active, n_res))
+    _, grad_f, hess_f = solver.gradient_and_hessian(
+        _full_kappa(kappa, active, n_res))
     hess = hess_f[np.ix_(active, active)]
     evals, evecs = np.linalg.eigh(hess)
     flat = evals < 1e-8 * max(evals.max(), 1e-12)

@@ -14,7 +14,6 @@ spectral quantities before their lambda^2 rescaling.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -33,6 +32,7 @@ from .model import effective_density
 
 BOOT_KEY = 0xB007          # spawn keys reserving independent substreams
 JITTER_KEY = 0xC17
+N_BOOT = 200               # bootstrap resamples
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +255,6 @@ class TrajectoryEnsemble:
     def n_samples(self):
         return self.y.shape[0]
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample"]
-                            + [f"y_{lbl}" for lbl in self.process.labels]
-                            + ["entropy"])
-            for i in range(self.n_samples):
-                writer.writerow(
-                    [i] + [f"{v:.17g}" for v in self.y[i]]
-                    + [f"{self.entropy[i]:.17g}"])
-
 
 def sample(rp, horizon, n_samples, seed, jobs=1):
     """Gillespie-sample the jump process; bit-reproducible for fixed seed.
@@ -315,7 +304,6 @@ class EmpiricalScgf:
     std_errors: np.ndarray
     ess: np.ndarray
     predicted: np.ndarray
-    n_boot: int
 
     def pulls(self):
         diff = self.estimates - self.predicted
@@ -324,7 +312,16 @@ class EmpiricalScgf:
         return np.where(exact, 0.0, diff / se)
 
 
-def empirical_scgf(ens, kappas, n_boot=200, min_ess=50.0):
+def _bootstrap_indices(ens):
+    """N_BOOT resamples of the sample indices, drawn from the substream
+    (seed, BOOT_KEY); empirical_scgf and mean_current_estimates share them."""
+    n = ens.n_samples
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(ens.seed, spawn_key=(BOOT_KEY,))))
+    return rng.integers(0, n, size=(N_BOOT, n))
+
+
+def empirical_scgf(ens, kappas, min_ess=50.0):
     """Estimate the generating function on a kappa grid from the ensemble.
 
     The exponential average is reweighted Monte Carlo, so each point guards
@@ -337,9 +334,7 @@ def empirical_scgf(ens, kappas, n_boot=200, min_ess=50.0):
     if kappas.shape[1] != ens.process.n_reservoirs:
         raise ConfigError("kappa grid must have one column per reservoir")
     n = ens.n_samples
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(ens.seed, spawn_key=(BOOT_KEY,))))
-    idx = rng.integers(0, n, size=(int(n_boot), n))
+    idx = _bootstrap_indices(ens)
     t = ens.horizon
     estimates, errors, esses, preds = [], [], [], []
     for kap in kappas:
@@ -361,16 +356,13 @@ def empirical_scgf(ens, kappas, n_boot=200, min_ess=50.0):
         preds.append(ens.process.tilted_rate(kap))
     return EmpiricalScgf(kappas=kappas, estimates=np.array(estimates),
                          std_errors=np.array(errors), ess=np.array(esses),
-                         predicted=np.array(preds), n_boot=int(n_boot))
+                         predicted=np.array(preds))
 
 
-def mean_current_estimates(ens, n_boot=200):
+def mean_current_estimates(ens):
     """Empirical mean currents y/T with bootstrap standard errors, using the
-    same resampling substream as empirical_scgf."""
-    n = ens.n_samples
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(ens.seed, spawn_key=(BOOT_KEY,))))
-    idx = rng.integers(0, n, size=(int(n_boot), n))
+    same resampling indices as empirical_scgf."""
+    idx = _bootstrap_indices(ens)
     est = ens.y.mean(axis=0) / ens.horizon
     boot = ens.y[idx].mean(axis=1) / ens.horizon
     return est, boot.std(axis=0, ddof=1)

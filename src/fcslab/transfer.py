@@ -26,7 +26,7 @@ from .errors import (
     TruncationWarning,
 )
 from .finite_volume import assemble, resonant_modes
-from .lindblad import unvec, vec
+from .lindblad import unvec
 
 N_BLOCK_DEFAULT = 6
 N_MAX_DEFAULT = 5
@@ -49,21 +49,11 @@ def _sandwich(fv, kappa, t):
             * _counting_phase(fv, -kappa / 2)[None, :])
 
 
-def embed(fv, s):
-    """System state to full space: S -> S (x) rho_ref (truncated Gibbs)."""
-    return np.kron(np.asarray(s, dtype=complex), np.diag(fv.gibbs_weights))
-
-
-def compress(fv, a):
-    """Partial trace over all reservoir modes."""
-    d, m = fv.sys_dim, fv.mode_dim
-    return np.trace(a.reshape(d, m, d, m), axis1=1, axis2=3)
-
-
 def compressed_map(fv, kappa, t):
-    """Matrix of S -> compress(Z_t(embed(S))) on the d^2 system space.
+    """Matrix of S -> Tr_R Z_t(S (x) rho_ref) on the d^2 system space, with
+    rho_ref the truncated Gibbs state diag(w) of the reservoir modes.
 
-    Since embed produces S (x) diag(w) and compress is a partial trace, the
+    Since the embedded state is S (x) diag(w) and Tr_R a partial trace, the
     map contracts two copies of the one-sided propagator B over the mode
     indices; grouping (system out, system in) against (mode out, mode in)
     turns that into a single d^2 x M^2 product, avoiding any full-space
@@ -106,10 +96,6 @@ class CompressedDynamics:
     tau: float
     t_phys: float
     matrix: np.ndarray
-
-    @property
-    def d2(self):
-        return self.matrix.shape[0]
 
     def multi_step(self, m):
         """I-down Z_{m t_phys} I-up, computed directly (not via products)."""
@@ -155,13 +141,22 @@ class PolymerBlocks:
     W_1 is the single-block compressed map; higher blocks carry the memory
     that survives the return-to-product insertions, with ||W_n|| <= c^{n-1}.
     c_hat is the least-squares fit of that bound on n >= 2 (through the
-    origin in log coordinates, matching the prefactor-free bound).
+    origin in log coordinates, matching the prefactor-free bound); None for
+    a single block.
     """
 
     cd: CompressedDynamics
     blocks: list
-    norms: np.ndarray
-    c_hat: float | None
+    norms: np.ndarray = field(init=False)
+    c_hat: float | None = field(init=False)
+
+    def __post_init__(self):
+        self.norms = np.array([np.linalg.norm(w, 2) for w in self.blocks])
+        self.c_hat = None
+        if self.n_max >= 2:
+            xs = np.arange(1, self.n_max)           # n - 1 for n = 2..n_max
+            ys = np.log(np.maximum(self.norms[1:], 1e-300))
+            self.c_hat = float(np.exp(np.dot(xs, ys) / np.dot(xs, xs)))
 
     @property
     def n_max(self):
@@ -199,22 +194,20 @@ class PolymerBlocks:
                      / max(np.linalg.norm(ref, 2), 1e-300))
 
 
-def extract_blocks(cd, n_max=N_MAX_DEFAULT, method="recursion"):
+def extract_blocks(cd, n_max=N_MAX_DEFAULT):
     """Telescope the compressed dynamics into W_1..W_n_max.
 
-    method "insertion" follows the definition literally: propagate the
-    embedded basis states block by block in full space, subtracting the
-    return-to-product part after each compression.  method "recursion"
-    (default) conditions the composition identity on its last factor,
+    Conditions the composition identity on its last factor,
     W_m = C_m - sum_{j<m} W_j C_{m-j} with C_m the directly computed
-    m-step compressed maps, which needs no full-space chains.  The two
-    agree to roundoff; the slow route stays as an independent check.
+    m-step compressed maps, which needs no full-space chains.  The literal
+    insertion chain (propagate embedded basis states block by block,
+    subtracting the return-to-product part after each compression) agrees
+    to roundoff and serves the tests as an independent check.
     """
     n_max = int(n_max)
     if n_max < 1:
         raise ConfigError("need n_max >= 1")
-    fv = cd.fv
-    horizon = fv.recurrence_horizon()
+    horizon = cd.fv.recurrence_horizon()
     if n_max * cd.t_phys > horizon * (1 + 1e-12):
         raise RecurrenceHorizonExceeded(
             f"extracting {n_max} blocks of physical length {cd.t_phys:.3g} "
@@ -222,38 +215,14 @@ def extract_blocks(cd, n_max=N_MAX_DEFAULT, method="recursion"):
             f"the recurrence horizon {horizon:.3g}",
             diagnostics={"n_max": n_max, "t_phys": cd.t_phys,
                          "horizon": float(horizon)})
-    if method == "recursion":
-        cs = [cd.matrix] + [cd.multi_step(m) for m in range(2, n_max + 1)]
-        ws = []
-        for m in range(1, n_max + 1):
-            w = cs[m - 1].copy()
-            for j in range(1, m):
-                w -= ws[j - 1] @ cs[m - j - 1]
-            ws.append(w)
-    elif method == "insertion":
-        d2 = cd.d2
-        b = _sandwich(fv, cd.kappa, cd.t_phys)
-        bh = b.conj().T
-        ws = [np.empty((d2, d2), dtype=complex) for _ in range(n_max)]
-        for col in range(d2):
-            e = np.zeros(d2)
-            e[col] = 1.0
-            a = embed(fv, unvec(e))
-            for n in range(1, n_max + 1):
-                a = b @ a @ bh
-                s = compress(fv, a)
-                ws[n - 1][:, col] = vec(s)
-                if n < n_max:
-                    a = a - embed(fv, s)
-    else:
-        raise ConfigError(f"unknown extraction method {method!r}")
-    norms = np.array([np.linalg.norm(w, 2) for w in ws])
-    c_hat = None
-    if n_max >= 2:
-        xs = np.arange(1, n_max)                    # n - 1 for n = 2..n_max
-        ys = np.log(np.maximum(norms[1:], 1e-300))
-        c_hat = float(np.exp(np.dot(xs, ys) / np.dot(xs, xs)))
-    return PolymerBlocks(cd=cd, blocks=ws, norms=norms, c_hat=c_hat)
+    cs = [cd.matrix] + [cd.multi_step(m) for m in range(2, n_max + 1)]
+    ws = []
+    for m in range(1, n_max + 1):
+        w = cs[m - 1].copy()
+        for j in range(1, m):
+            w -= ws[j - 1] @ cs[m - j - 1]
+        ws.append(w)
+    return PolymerBlocks(cd=cd, blocks=ws)
 
 
 # ---------------------------------------------------------------------------

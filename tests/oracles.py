@@ -9,6 +9,7 @@ that produced them.
 
 import numpy as np
 from scipy.integrate import quad as scipy_quad
+from scipy.linalg import expm
 from scipy.special import expi
 
 # ---------------------------------------------------------------------------
@@ -69,6 +70,26 @@ def qubit_scgf(kappa):
 
 def qubit_scgf_physical(kappa, lam=LAMBDA):
     return lam * lam * qubit_scgf(kappa)
+
+
+# ---------------------------------------------------------------------------
+# superoperators in the column-major vec convention, vec(A S B) =
+# (B^T kron A) vec(S)
+# ---------------------------------------------------------------------------
+
+def commutator_superop(e):
+    """Matrix of S -> i [E, S], the generator of the free evolution."""
+    e = np.asarray(e, dtype=complex)
+    eye = np.eye(e.shape[0])
+    return 1j * (np.kron(eye, e) - np.kron(e.T, eye))
+
+
+def semigroup(mat, t, s):
+    """e^{t L} applied to the d x d matrix s, L given as its d^2 x d^2
+    matrix, by a dense matrix exponential."""
+    s = np.asarray(s, dtype=complex)
+    d = s.shape[0]
+    return (expm(t * mat) @ s.ravel(order="F")).reshape(d, d, order="F")
 
 
 # ---------------------------------------------------------------------------
@@ -244,3 +265,50 @@ def qubit_second_order_rate(modes, rho, kappa, t, coherence_tol=1e-10):
                                                + p_exc * n_avg * absorb)
         total += float(np.sum(g2 * (resonant + counter)))
     return total / t
+
+
+# ---------------------------------------------------------------------------
+# polymer blocks by the literal insertion chain
+# ---------------------------------------------------------------------------
+
+def insertion_blocks(fv, kappa, t_phys, n_max):
+    """W_1..W_n_max of the compressed dynamics by their definition.
+
+    Each system basis state S is embedded as S (x) diag(w) with the
+    truncated Gibbs weights w, evolved block by block in full space as
+    A -> B A B^* with the deformed one-sided propagator
+    B = e^{-(kappa/2 | E_R)} U_t e^{(kappa/2 | E_R)}, and compressed by the
+    partial trace over the modes; after each block the return-to-product
+    part (compressed state (x) diag(w)) is subtracted before the next.
+    Only the finite-volume propagator, reservoir energies and Gibbs weights
+    enter, so the result is independent of the package's recursion.
+    """
+    d, m = fv.sys_dim, fv.mode_dim
+    kappa = np.asarray(kappa, dtype=float)
+
+    def phase(nu):
+        return np.tile(np.exp(-(nu @ fv.reservoir_energy)), d)
+
+    b = (phase(kappa / 2)[:, None] * fv.propagator(t_phys)
+         * phase(-kappa / 2)[None, :])
+    bh = b.conj().T
+    gibbs = np.diag(fv.gibbs_weights)
+
+    def embed(s):
+        return np.kron(s, gibbs)
+
+    def compress(a):
+        return np.trace(a.reshape(d, m, d, m), axis1=1, axis2=3)
+
+    ws = [np.empty((d * d, d * d), dtype=complex) for _ in range(n_max)]
+    for col in range(d * d):
+        s = np.zeros((d, d), dtype=complex)
+        s[col % d, col // d] = 1.0              # column-major basis vector
+        a = embed(s)
+        for n in range(1, n_max + 1):
+            a = b @ a @ bh
+            s = compress(a)
+            ws[n - 1][:, col] = s.ravel(order="F")
+            if n < n_max:
+                a = a - embed(s)
+    return ws

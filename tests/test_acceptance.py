@@ -74,7 +74,7 @@ def test_criterion_01_normalization_and_trace_preservation():
         f0 = solver.f(np.zeros(model.n_reservoirs))
         assert abs(f0) <= 1e-12, f"f(0) = {f0}"
         dual = build_deformed_lindblad(
-            model, np.zeros(model.n_reservoirs)).dual.matrix
+            model, np.zeros(model.n_reservoirs)).dual
         d = model.system.dim
         for _ in range(50):
             s = random_hermitian(rng, d)

@@ -95,6 +95,10 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.strip() == "False"
 
 
+def test_public_api_resolves():
+    assert [n for n in fcslab.__all__ if not hasattr(fcslab, n)] == []
+
+
 def test_generator_builds_once(config_path, tmp_path, monkeypatch):
     builds = []
     build = fcslab.cli.build_deformed_lindblad
@@ -115,7 +119,7 @@ def test_generator_builds_once(config_path, tmp_path, monkeypatch):
     ones = np.eye(model.system.dim).ravel(order="F")
     payload = json.loads((tmp_path / "generator.json").read_text())
     assert payload["trace_defect_at_zero"] == float(
-        np.abs(ones @ zero.dual.matrix).max())
+        np.abs(ones @ zero.dual).max())
 
 
 def test_trajectories_builds_one_solver(config_path, tmp_path, monkeypatch):
@@ -184,6 +188,22 @@ def test_rate_function_zero_at_mean(config_path, tmp_path):
 def test_rate_function_without_alpha_exits_2(config_path, tmp_path, capsys):
     rc, captured = run(["rate-function", "--config", config_path,
                         "--out", str(tmp_path)], capsys)
+    assert rc == 2
+    assert json.loads(captured.err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--alpha=0.001", "--active", "5"],           # index out of range
+    ["--alpha=0.001", "--active=-1"],             # negative index
+    ["--alpha=0.001,0.001", "--active", "0,0"],   # repeated reservoir
+    ["--alpha=0.001", "--active", "0.5"],         # not an integer
+    ["--alpha", "nan,0"],
+    ["--alpha", "inf", "--active", "0"],
+])
+def test_rate_function_bad_input_exits_2(config_path, tmp_path, capsys,
+                                         flags):
+    rc, captured = run(["rate-function", "--config", config_path,
+                        "--out", str(tmp_path)] + flags, capsys)
     assert rc == 2
     assert json.loads(captured.err)["error"] == "ConfigError"
 

@@ -34,8 +34,8 @@ def test_roundtrip_preserves_generator(qubit_model):
     np.testing.assert_allclose(model.system.hamiltonian,
                                qubit_model.system.hamiltonian)
     kappa = np.array([0.37, -0.11])
-    a = build_deformed_lindblad(qubit_model, kappa).heisenberg.matrix
-    b = build_deformed_lindblad(model, kappa).heisenberg.matrix
+    a = build_deformed_lindblad(qubit_model, kappa).heisenberg
+    b = build_deformed_lindblad(model, kappa).heisenberg
     np.testing.assert_allclose(a, b, atol=1e-14)
 
 
@@ -46,8 +46,8 @@ def test_roundtrip_random_models():
         original = random_model(rng, d=3)
         rebuilt = build_from_dict(model_to_dict(original)).model
         kappa = rng.normal(scale=0.1, size=original.n_reservoirs)
-        a = build_deformed_lindblad(original, kappa).heisenberg.matrix
-        b = build_deformed_lindblad(rebuilt, kappa).heisenberg.matrix
+        a = build_deformed_lindblad(original, kappa).heisenberg
+        b = build_deformed_lindblad(rebuilt, kappa).heisenberg
         np.testing.assert_allclose(a, b, atol=1e-13 * np.abs(a).max())
 
 

@@ -17,7 +17,6 @@ from fcslab import (
     assemble,
     characteristic_function,
     correlation_function,
-    discretize_reservoir,
     effective_density,
     make_model,
     resonant_modes,
@@ -68,52 +67,7 @@ def rho_probe():
 # discretization
 # ---------------------------------------------------------------------------
 
-def test_discretize_midpoint_single_mode():
-    res = ohmic_reservoir()
-    mm = discretize_reservoir(res, 1, (0.5, 1.5), n_max=3)
-    assert mm.frequencies.shape == (1,)
-    assert mm.frequencies[0] == pytest.approx(1.0)
-    # one midpoint node carries the full interval weight: g^2 = J(1) * 1
-    assert mm.couplings[0] ** 2 == pytest.approx(res.density(1.0), rel=1e-14)
-    assert mm.n_max == 3 and mm.label == "hot"
-
-
-def test_discretize_quadrature_convergence():
-    # sum g_j^2 is a quadrature rule for the integral of J; midpoint errors
-    # must at least halve when the mode count doubles
-    res = ohmic_reservoir()
-    lo, hi = 0.2, 3.0
-    exact, _ = scipy.integrate.quad(lambda x: res.density(x), lo, hi)
-    errs = []
-    for n in (4, 8, 16, 32):
-        mm = discretize_reservoir(res, n, (lo, hi))
-        errs.append(abs(np.sum(mm.couplings ** 2) - exact))
-    for a, b in zip(errs, errs[1:]):
-        assert b <= 0.5 * a + 1e-14
-
-
-def test_discretize_gauss_scheme_accuracy():
-    res = ohmic_reservoir()
-    lo, hi = 0.2, 3.0
-    exact, _ = scipy.integrate.quad(lambda x: res.density(x), lo, hi)
-    mm = discretize_reservoir(res, 12, (lo, hi), scheme="gauss")
-    assert np.sum(mm.couplings ** 2) == pytest.approx(exact, rel=1e-10)
-    # weighted first moment too: sum g^2 xi ~ integral of J(x) x
-    exact1, _ = scipy.integrate.quad(lambda x: x * res.density(x), lo, hi)
-    assert np.sum(mm.couplings ** 2 * mm.frequencies) == \
-        pytest.approx(exact1, rel=1e-10)
-
-
-def test_discretize_rejects_bad_input():
-    res = ohmic_reservoir()
-    with pytest.raises(EmptyRange):
-        discretize_reservoir(res, 4, (2.0, 1.0))
-    with pytest.raises(EmptyRange):
-        discretize_reservoir(res, 4, (-1.0, 1.0))
-    with pytest.raises(EmptyRange):
-        discretize_reservoir(res, 0, (0.5, 1.5))
-    with pytest.raises(ConfigError):
-        discretize_reservoir(res, 4, (0.5, 1.5), scheme="chebyshev")
+def test_reservoir_modes_reject_bad_input():
     with pytest.raises(ConfigError):
         ReservoirModes(label="x", beta=1.0, frequencies=np.array([1.0, -0.2]),
                        couplings=np.array([0.1, 0.1]), n_max=1)
@@ -131,16 +85,6 @@ def test_resonant_modes_grid_layout(qubit_system):
     assert mm.min_spacing() == pytest.approx(0.1)
     with pytest.raises(EmptyRange):
         resonant_modes(qubit_system, res, 9, 0.3, n_max=2)
-
-
-def test_mode_set_roundtrips_through_dict():
-    res = ohmic_reservoir(beta=1.7)
-    mm = discretize_reservoir(res, 5, (0.4, 2.2), n_max=4)
-    back = ReservoirModes.from_dict(mm.to_dict())
-    assert back.label == mm.label and back.beta == mm.beta
-    assert back.n_max == 4 and back.scheme == "uniform"
-    assert np.array_equal(back.frequencies, mm.frequencies)
-    assert np.array_equal(back.couplings, mm.couplings)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,12 @@ from fcslab import (
     QuadratureParams,
     ReservoirSpec,
     SpectralDensity,
-    Superoperator,
     build_deformed_lindblad,
     build_system,
     compute_upsilon,
     effective_density,
     make_model,
     principal_value,
-    semigroup,
     unvec,
     vec,
 )
@@ -113,41 +111,20 @@ def test_gauss_rule_cache_is_exact_and_read_only():
 
 
 # ---------------------------------------------------------------------------
-# superoperator plumbing
+# vectorization
 # ---------------------------------------------------------------------------
 
 def test_vec_convention_and_sandwich():
+    """The jump terms are built as kron(A^T, A^*) on the strength of
+    vec(A S B) = (B^T kron A) vec(S)."""
     rng = np.random.default_rng(0)
     a, b, s = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
                for _ in range(3))
     assert np.allclose(unvec(vec(s), 3), s)
-    assert np.allclose(Superoperator.sandwich(a, b)(s), a @ s @ b)
-    assert np.allclose(Superoperator.left_mult(a)(s), a @ s)
-    assert np.allclose(Superoperator.right_mult(b)(s), s @ b)
+    assert np.allclose(np.kron(b.T, a) @ vec(s), vec(a @ s @ b))
     e = random_hermitian(rng, 3)
-    assert np.allclose(Superoperator.hamiltonian_commutator(e)(s),
+    assert np.allclose(unvec(oracles.commutator_superop(e) @ vec(s)),
                        1j * (e @ s - s @ e))
-
-
-def test_adjoint_is_hilbert_schmidt_adjoint():
-    rng = np.random.default_rng(1)
-    mat = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    sup = Superoperator(mat)
-    for _ in range(10):
-        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        y = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        lhs = np.trace(x.conj().T @ sup(y))
-        rhs = np.trace(sup.adjoint()(x).conj().T @ y)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_superoperator_text_roundtrip():
-    rng = np.random.default_rng(2)
-    mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    sup = Superoperator(mat)
-    back = Superoperator.from_text(sup.to_text())
-    assert np.array_equal(back.matrix, sup.matrix)
-    assert back.dim == 2
 
 
 # ---------------------------------------------------------------------------
@@ -195,29 +172,30 @@ def test_unital_and_dual_trace_preserving():
     for model in model_fleet(8, seed=13):
         parts = build_deformed_lindblad(model, np.zeros(model.n_reservoirs))
         d = model.system.dim
-        scale = max(1.0, np.abs(parts.heisenberg.matrix).max())
-        assert np.abs(parts.heisenberg(np.eye(d))).max() <= 1e-12 * scale
+        scale = max(1.0, np.abs(parts.heisenberg).max())
+        assert np.abs(parts.heisenberg @ vec(np.eye(d))).max() <= 1e-12 * scale
         dual = parts.dual
         for _ in range(10):
             s = random_hermitian(rng, d)
-            assert abs(np.trace(dual(s))) <= 1e-10 * scale * np.abs(s).max()
+            assert abs(np.trace(unvec(dual @ vec(s)))) <= \
+                1e-10 * scale * np.abs(s).max()
 
 
 def test_generator_commutes_with_free_evolution():
     for model in model_fleet(5, seed=17):
         kappa = 0.1 * np.ones(model.n_reservoirs)
         parts = build_deformed_lindblad(model, kappa)
-        m = Superoperator.hamiltonian_commutator(model.system.hamiltonian)
+        m = oracles.commutator_superop(model.system.hamiltonian)
         l = parts.heisenberg
-        comm = l.matrix @ m.matrix - m.matrix @ l.matrix
-        assert np.abs(comm).max() <= 1e-10 * max(1.0, np.abs(l.matrix).max())
+        comm = l @ m - m @ l
+        assert np.abs(comm).max() <= 1e-10 * max(1.0, np.abs(l).max())
 
 
 def test_variants_agree_for_simple_bohr_frequencies(qubit_model):
     kappa = np.array([0.3, -0.1])
     sec = build_deformed_lindblad(qubit_model, kappa, variant="secular")
     diag = build_deformed_lindblad(qubit_model, kappa, variant="diagonal")
-    assert np.abs(sec.heisenberg.matrix - diag.heisenberg.matrix).max() < 1e-14
+    assert np.abs(sec.heisenberg - diag.heisenberg).max() < 1e-14
 
 
 def test_variants_differ_with_repeated_gaps():
@@ -229,7 +207,7 @@ def test_variants_differ_with_repeated_gaps():
     model = make_model(np.diag([0.0, 1.0, 2.0]), [res], lam=0.1)
     sec = build_deformed_lindblad(model, [0.0], variant="secular")
     diag = build_deformed_lindblad(model, [0.0], variant="diagonal")
-    assert np.abs(sec.heisenberg.matrix - diag.heisenberg.matrix).max() > 1e-3
+    assert np.abs(sec.heisenberg - diag.heisenberg).max() > 1e-3
 
 
 def test_qubit_population_block_matches_tilted_oracle(qubit_model):
@@ -237,7 +215,7 @@ def test_qubit_population_block_matches_tilted_oracle(qubit_model):
     order ground/excited) must equal the hand-coded tilted matrix."""
     for kappa in (np.zeros(2), np.array([0.4, -0.15]), np.array([0.9, 1.7])):
         parts = build_deformed_lindblad(qubit_model, kappa)
-        dual = parts.dual.matrix
+        dual = parts.dual
         # computational basis: index 0 = excited (+1/2), 1 = ground (-1/2);
         # vec (column-major) diagonal entries sit at 0 (S_00) and 3 (S_11)
         g, e = 3, 0
@@ -292,7 +270,7 @@ def test_analytic_kappa_derivatives():
 def test_semigroup_identity_at_zero_time(qubit_model):
     parts = build_deformed_lindblad(qubit_model, np.zeros(2))
     s = np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, 0.7]])
-    assert np.allclose(semigroup(parts.heisenberg, 0.0, s), s)
+    assert np.allclose(oracles.semigroup(parts.heisenberg, 0.0, s), s)
 
 
 def test_semigroup_unital_and_positive():
@@ -301,13 +279,13 @@ def test_semigroup_unital_and_positive():
         parts = build_deformed_lindblad(model, np.zeros(model.n_reservoirs))
         d = model.system.dim
         for t in (0.05, 0.4):
-            out = semigroup(parts.heisenberg, t, np.eye(d))
+            out = oracles.semigroup(parts.heisenberg, t, np.eye(d))
             assert np.abs(out - np.eye(d)).max() < 1e-11
             # dual evolves states: trace and positivity preserved
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             rho = a @ a.conj().T
             rho /= np.trace(rho).real
-            evolved = semigroup(parts.dual, t, rho)
+            evolved = oracles.semigroup(parts.dual, t, rho)
             assert np.trace(evolved).real == pytest.approx(1.0, abs=1e-11)
             assert np.linalg.eigvalsh((evolved + evolved.conj().T) / 2).min() > -1e-11
 
@@ -321,7 +299,7 @@ def test_choi_positivity_of_dual_semigroup():
         for j in range(d):
             eij = np.zeros((d, d), dtype=complex)
             eij[i, j] = 1.0
-            out = semigroup(parts.dual, 0.3, eij)
+            out = oracles.semigroup(parts.dual, 0.3, eij)
             choi[i * d:(i + 1) * d, j * d:(j + 1) * d] = out
     evals = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
     assert evals.min() >= -1e-10
@@ -331,7 +309,7 @@ def test_block_structure_in_eigenoperator_basis(qubit_model):
     """Matrix elements between eigenoperators |a><b| with different Bohr
     frequencies vanish."""
     parts = build_deformed_lindblad(qubit_model, np.array([0.2, 0.1]))
-    lmat = parts.heisenberg.matrix
+    lmat = parts.heisenberg
     energies = np.diag(qubit_model.system.hamiltonian).real
     d = 2
     freqs = np.array([energies[a] - energies[b]

@@ -7,7 +7,6 @@ import pytest
 import oracles
 from fcslab import (
     ScgfSolver,
-    clt_normalization,
     gc_symmetry_defect,
     make_model,
     rate_function,
@@ -72,7 +71,7 @@ def test_leading_vectors_at_zero(qubit_solver, qubit_model):
     rho = res.left_eigvec / np.trace(res.left_eigvec)
     assert abs(np.trace(rho) - 1) < 1e-12
     assert np.linalg.eigvalsh(rho).min() > 0
-    resid = qubit_solver.parts.dual.matrix @ vec(rho)
+    resid = qubit_solver.parts.dual @ vec(rho)
     assert np.abs(resid).max() < 1e-12
 
     # excited population: computational index 0 carries energy +1/2
@@ -177,13 +176,6 @@ def test_moments_random_fleet():
         assert abs(moments.mean_currents.sum()) < 1e-8
         assert moments.entropy_production_rate > -1e-12
         assert np.linalg.eigvalsh(moments.covariance).min() > -1e-10
-
-
-def test_clt_normalization_pass_through(qubit_model):
-    moments = transport_moments(qubit_model, fd_check=False)
-    mean, cov = clt_normalization(moments)
-    assert np.array_equal(mean, moments.mean_currents)
-    assert np.array_equal(cov, moments.covariance)
 
 
 def test_derivative_mismatch_guard(qubit_model):

@@ -9,10 +9,12 @@ configuration whose spectral outputs are frozen as regression values.
 import numpy as np
 import pytest
 
+import oracles
 from conftest import canonical_reservoirs
 
 from fcslab import (
     CompressedDynamics,
+    PolymerBlocks,
     build_and_deform,
     characteristic_function,
     compressed_map,
@@ -59,8 +61,10 @@ def fv32(qubit):
 
 @pytest.fixture(scope="module")
 def blocks32(fv32):
+    """Blocks from the literal insertion chain, not the package recursion."""
     cd = compressed_step(fv32, KAPPA, 0.5)
-    return extract_blocks(cd, n_max=4, method="insertion")
+    blocks = oracles.insertion_blocks(fv32, KAPPA, cd.t_phys, n_max=4)
+    return PolymerBlocks(cd, blocks)
 
 
 @pytest.fixture(scope="module")
@@ -143,16 +147,10 @@ def test_lambda_and_block_time_guards(fv32, qubit):
 def test_extraction_routes_agree(fv32, blocks32):
     """The telescoping recursion reproduces the literal insertion chain."""
     cd = compressed_step(fv32, KAPPA, 0.5)
-    rec = extract_blocks(cd, n_max=4, method="recursion")
+    rec = extract_blocks(cd, n_max=4)
     for w_rec, w_ins in zip(rec.blocks, blocks32.blocks):
         assert np.linalg.norm(w_rec - w_ins, 2) < 1e-12 * np.linalg.norm(
             w_ins, 2)
-
-
-def test_unknown_method_rejected(fv32):
-    cd = compressed_step(fv32, KAPPA, 0.5)
-    with pytest.raises(ConfigError):
-        extract_blocks(cd, n_max=2, method="newton")
 
 
 def test_composition_identity(blocks32):

@@ -1,0 +1,87 @@
+"""Digest the outputs of the ten README command-line invocations.
+
+Writes the README qubit config to a temporary directory, runs every README
+invocation of `python -m fcslab` against it in a fresh process, and prints
+one line `subcommand file sha256` per output file.  The manifest's
+`wall_time_s` is the only value that differs between reruns, so it is
+masked before hashing.  Diffing the output of two checkouts shows whether
+a change moved any output byte:
+
+    python tools/cli_digests.py > change.txt
+    python tools/cli_digests.py /path/to/other/checkout > parent.txt
+    diff parent.txt change.txt
+
+The optional argument is the checkout whose `src/` is run (default: the
+one holding this script).  Needs only the package's own dependencies.
+"""
+
+import hashlib
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CONFIG = """\
+system:
+  hamiltonian:
+    - [0.5, 0.0]
+    - [0.0, 0.0]
+    - [0.0, 0.0]
+    - [-0.5, 0.0]
+reservoirs:
+  - label: hot
+    beta: 1.0
+    coupling: [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+    density: {form: ohmic, gamma: 0.5, exponent: 1.0, cutoff: 5.0}
+  - label: cold
+    beta: 2.0
+    coupling: [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+    density: {form: ohmic, gamma: 0.5, exponent: 1.0, cutoff: 5.0}
+run:
+  lambda: 0.1
+"""
+
+INVOCATIONS = [
+    ["validate"],
+    ["generator", "--kappa", "0.4,0"],
+    ["scgf-scan", "--nu", "0:1:0.05"],
+    ["gc-check"],
+    ["moments"],
+    ["rate-function", "--alpha=-0.003,0.003"],
+    ["fv-compare", "--lambda", "0.4,0.2", "--kappa", "0.4,0"],
+    ["fv-tpm", "--tmax", "5", "--kappa", "0.25,0.5"],
+    ["transfer", "--lambda", "0.2", "--tau", "0.2"],
+    ["trajectories", "--nsamples", "10000", "--seed", "1"],
+]
+
+WALL_TIME = re.compile(rb'"wall_time_s":[^,}]*')
+
+
+def file_digest(path):
+    blob = path.read_bytes()
+    if path.name == "manifest.json":
+        blob = WALL_TIME.sub(b'"wall_time_s":"masked"', blob)
+    return hashlib.sha256(blob).hexdigest()
+
+
+def main(argv):
+    root = Path(argv[1] if len(argv) > 1 else Path(__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "model.yaml"
+        config.write_text(CONFIG)
+        for args in INVOCATIONS:
+            out = Path(tmp) / args[0]
+            subprocess.run([sys.executable, "-m", "fcslab", args[0],
+                            "--config", str(config), "--out", str(out),
+                            *args[1:]],
+                           env=env, check=True, stdout=subprocess.DEVNULL)
+            for path in sorted(out.iterdir()):
+                print(args[0], path.name, file_digest(path))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv))
