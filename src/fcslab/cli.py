@@ -133,6 +133,14 @@ def _points(values, n_res, default):
     return points
 
 
+def _single(values, flag):
+    """The one value of a flag that a subcommand does not loop over; a
+    second value is an error, not silently dropped."""
+    if len(values) != 1:
+        raise ConfigError(f"{flag} takes one value here, got {len(values)}")
+    return values[0]
+
+
 def _nu_grid(text):
     parts = str(text).split(":")
     if len(parts) != 3:
@@ -211,8 +219,8 @@ def cmd_validate(cfg, args, emit):
 
 def cmd_generator(cfg, args, emit):
     model = cfg.model
-    kappa = _points(args.kappa, model.n_reservoirs,
-                    [np.zeros(model.n_reservoirs)])[0]
+    kappa = _single(_points(args.kappa, model.n_reservoirs,
+                            [np.zeros(model.n_reservoirs)]), "--kappa")
     parts = build_deformed_lindblad(model, kappa)
     matrix = parts.heisenberg
     evals = np.linalg.eigvals(matrix)
@@ -344,10 +352,10 @@ def _fv_from_config(cfg, args, t_needed):
 def cmd_fv_tpm(cfg, args, emit):
     model = cfg.model
     t = _resolve(args, "tmax", 5.0, float)
+    kappa = _single(_points(args.kappa, model.n_reservoirs,
+                            [0.25 * _betas(model)]), "--kappa")
     fv, modes = _fv_from_config(cfg, args, t)
     dist = tpm_distribution(fv, model.rho_system, t)
-    kappa = _points(args.kappa, model.n_reservoirs,
-                    [0.25 * _betas(model)])[0]
     chi = characteristic_function(fv, model.rho_system, kappa, t)
     laplace = dist.laplace(kappa)
     rows = [[_fmt(y) for y in dist.support[i]]
@@ -372,11 +380,12 @@ def cmd_fv_tpm(cfg, args, emit):
 
 def cmd_transfer(cfg, args, emit):
     model = cfg.model
-    lam = _resolve(args, "lam", default=[model.lam], cast=_float_list)[0]
+    lam = _single(_resolve(args, "lam", default=[model.lam],
+                           cast=_float_list), "--lambda")
     tau = _resolve(args, "tau", 0.2, float)
     n_max = _resolve(args, "nmax", 2, int)
-    kappa = _points(args.kappa, model.n_reservoirs,
-                    [0.25 * _betas(model)])[0]
+    kappa = _single(_points(args.kappa, model.n_reservoirs,
+                            [0.25 * _betas(model)]), "--kappa")
     if cfg.modes is not None:
         fv = assemble(model.with_lam(lam), cfg.modes)
         modes = cfg.modes

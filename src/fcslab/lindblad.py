@@ -285,7 +285,7 @@ def _frequency_channels(system, coupling, dens):
 
 
 def compute_upsilon(system, reservoirs, quad=None, lamb_shift=True):
-    """Level-shift operator Upsilon and the cached transform values.
+    """Level-shift operator Upsilon.
 
     Upsilon = sum over channels of M_{k,e,e'} (-i pi G_k(omega) - H_k(omega))
     with M = 1_{E_e} D^* 1_{E_e'} D 1_{E_e}.  With lamb_shift=False the
@@ -293,8 +293,7 @@ def compute_upsilon(system, reservoirs, quad=None, lamb_shift=True):
     """
     d = system.dim
     upsilon = np.zeros((d, d), dtype=complex)
-    h_values = {}
-    for k, res in enumerate(reservoirs):
+    for res in reservoirs:
         dens = effective_density(res)
         coupling = np.asarray(res.coupling, dtype=complex)
         h_cache = {}
@@ -302,10 +301,9 @@ def compute_upsilon(system, reservoirs, quad=None, lamb_shift=True):
             if omega not in h_cache:
                 h_cache[omega] = (principal_value(dens, omega, quad)
                                   if lamb_shift else 0.0)
-                h_values[(k, omega)] = h_cache[omega]
             m = a.conj().T @ a          # 1_{E_e} D^* 1_{E_e'} D 1_{E_e}
             upsilon += m * (-1j * np.pi * float(dens(omega)) - h_cache[omega])
-    return upsilon, h_values
+    return upsilon
 
 
 def build_deformed_lindblad(model, kappa, variant=None, quad=None):
@@ -322,8 +320,8 @@ def build_deformed_lindblad(model, kappa, variant=None, quad=None):
     system = model.system
     d = system.dim
 
-    upsilon, _ = compute_upsilon(system, model.reservoirs, quad=quad,
-                                 lamb_shift=model.lamb_shift)
+    upsilon = compute_upsilon(system, model.reservoirs, quad=quad,
+                              lamb_shift=model.lamb_shift)
     eye = np.eye(d)
     drift = -1j * (np.kron(eye, upsilon) - np.kron(upsilon.conj(), eye))
 

@@ -15,6 +15,7 @@ spectral quantities before their lambda^2 rescaling.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -195,38 +196,101 @@ def _sampling_tables(rp):
     return tables
 
 
+# numpy's SeedSequence constants (hash pool of four 32-bit words)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _spawn_keys(seed, lo, hi):
+    """Philox keys of the streams SeedSequence(seed, spawn_key=(i,)) for
+    i = lo..hi-1, as an (hi - lo, 2) uint64 array.
+
+    Runs numpy's SeedSequence algorithm (hashmix/mix into a pool of four
+    words, then generate_state(2, np.uint64)) once, carrying the spawn index
+    as an array: every step is the same arithmetic mod 2^32, so row i - lo
+    equals generate_state's key bit for bit.  Needs a nonnegative integer
+    seed and hi <= 2^32 (one spawn-key word).
+    """
+    words = [seed & _MASK32]
+    seed >>= 32
+    while seed:
+        words.append(seed & _MASK32)
+        seed >>= 32
+    # with a spawn key present, run entropy is zero-padded to the pool size
+    words += [0] * (4 - len(words))
+    words.append(np.arange(lo, hi, dtype=np.uint64))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hash_const = _INIT_B
+    state = []
+    for w in pool:
+        w = w ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        w = w * hash_const & _MASK32
+        state.append(w ^ w >> 16)
+    keys = np.empty((hi - lo, 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | state[1] << 32
+    keys[:, 1] = state[2] | state[3] << 32
+    return keys
+
+
 def _sample_range(rp, horizon, seed, lo, hi, pi, tables):
     """Samples lo..hi-1, each from its own counter-based stream, so the
     result is independent of how the index range is split across workers."""
     n_res = rp.n_reservoirs
-    exit_rates = rp.exit_rates.tolist()
-    pi_cum = np.cumsum(pi)
+    alive = (rp.exit_rates > 0.0).tolist()
+    scales = [1.0 / r if r > 0.0 else 0.0 for r in rp.exit_rates.tolist()]
+    pi_cum = np.cumsum(pi).tolist()
+    last = rp.n_states - 1
     y = np.zeros((hi - lo, n_res))
     n_jumps = np.zeros(hi - lo, dtype=np.int64)
-    for i in range(lo, hi):
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(seed, spawn_key=(i,))))
-        state = int(np.searchsorted(pi_cum, rng.random(), side="right"))
-        state = min(state, rp.n_states - 1)
+    keys = _spawn_keys(seed, lo, hi)
+    bg = np.random.Philox(key=keys[0])
+    fresh = bg.state                    # counter 0 and an empty buffer
+    rng = np.random.Generator(bg)
+    rand, sexp = rng.random, rng.standard_exponential
+    for i in range(hi - lo):
+        # rekeying a fresh state gives the stream Philox(SeedSequence(seed,
+        # spawn_key=(lo + i,))) would, without building a SeedSequence
+        fresh["state"]["key"] = keys[i]
+        bg.state = fresh
+        state = min(bisect_right(pi_cum, rand()), last)
         t = 0.0
-        row = y[i - lo]
+        acc = [0.0] * n_res
         jumps = 0
-        while True:
-            r = exit_rates[state]
-            if r <= 0.0:
-                break
-            t += rng.exponential(1.0 / r)
+        # exponential(scale) is scale * standard_exponential() in numpy
+        while alive[state]:
+            t += scales[state] * sexp()
             if t > horizon:
                 break
             cum, targets, res, omegas = tables[state]
-            u = rng.random()
-            m = 0
-            while cum[m] <= u:
-                m += 1
-            row[res[m]] += omegas[m]
+            m = bisect_right(cum, rand())
+            acc[res[m]] += omegas[m]
             state = targets[m]
             jumps += 1
-        n_jumps[i - lo] = jumps
+        y[i] = acc
+        n_jumps[i] = jumps
     return y, n_jumps
 
 
@@ -247,6 +311,7 @@ class TrajectoryEnsemble:
     n_jumps: np.ndarray
     mixing_ratio: float
     entropy: np.ndarray = field(init=False)
+    _boot_idx: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.entropy = self.y @ self.process.betas
@@ -259,14 +324,21 @@ class TrajectoryEnsemble:
 def sample(rp, horizon, n_samples, seed, jobs=1):
     """Gillespie-sample the jump process; bit-reproducible for fixed seed.
 
-    Every sample draws from the stream keyed (seed, sample index), starting
-    from the stationary distribution, so results do not depend on jobs.
+    Every sample draws from the Philox stream of SeedSequence(seed,
+    spawn_key=(sample index,)), starting from the stationary distribution,
+    so results do not depend on jobs.  seed must be a nonnegative integer.
     """
     if horizon <= 0:
         raise ConfigError("horizon must be positive")
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ConfigError("need at least one sample")
+    if n_samples >= 2 ** 32:
+        raise ConfigError("at most 2^32 - 1 samples (one 32-bit spawn key)")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    seed = int(seed)
     jobs = max(1, int(jobs))
     pi = rp.stationary()
     tables = _sampling_tables(rp)
@@ -283,7 +355,7 @@ def sample(rp, horizon, n_samples, seed, jobs=1):
         y = np.concatenate([p[0] for p in parts])
         n_jumps = np.concatenate([p[1] for p in parts])
     return TrajectoryEnsemble(process=rp, horizon=float(horizon),
-                              seed=int(seed), y=y, n_jumps=n_jumps,
+                              seed=seed, y=y, n_jumps=n_jumps,
                               mixing_ratio=float(horizon * rp.spectral_gap()))
 
 
@@ -313,12 +385,15 @@ class EmpiricalScgf:
 
 
 def _bootstrap_indices(ens):
-    """N_BOOT resamples of the sample indices, drawn from the substream
-    (seed, BOOT_KEY); empirical_scgf and mean_current_estimates share them."""
-    n = ens.n_samples
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(ens.seed, spawn_key=(BOOT_KEY,))))
-    return rng.integers(0, n, size=(N_BOOT, n))
+    """N_BOOT resamples of the sample indices, drawn once per ensemble from
+    the substream (seed, BOOT_KEY); empirical_scgf and
+    mean_current_estimates share them."""
+    if ens._boot_idx is None:
+        n = ens.n_samples
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(ens.seed, spawn_key=(BOOT_KEY,))))
+        ens._boot_idx = rng.integers(0, n, size=(N_BOOT, n))
+    return ens._boot_idx
 
 
 def empirical_scgf(ens, kappas, min_ess=50.0):
@@ -364,7 +439,8 @@ def mean_current_estimates(ens):
     same resampling indices as empirical_scgf."""
     idx = _bootstrap_indices(ens)
     est = ens.y.mean(axis=0) / ens.horizon
-    boot = ens.y[idx].mean(axis=1) / ens.horizon
+    # one resample at a time: ens.y[idx] would hold N_BOOT copies of y
+    boot = np.stack([ens.y[row].mean(axis=0) for row in idx]) / ens.horizon
     return est, boot.std(axis=0, ddof=1)
 
 

@@ -312,3 +312,58 @@ def insertion_blocks(fv, kappa, t_phys, n_max):
             if n < n_max:
                 a = a - embed(s)
     return ws
+
+
+# ---------------------------------------------------------------------------
+# Gillespie sampling, one SeedSequence per sample
+# ---------------------------------------------------------------------------
+
+def gillespie_reference(rp, horizon, seed, lo, hi):
+    """Samples lo..hi-1 of the jump process rp by the literal loop.
+
+    Each sample builds its own stream Philox(SeedSequence(seed,
+    spawn_key=(i,))), picks its start state from the stationary
+    distribution, then alternates exponential holding times of rate
+    exit_rates[state] with a linear scan of the state's cumulative jump
+    probabilities, until the horizon.  Returns (y, n_jumps).
+    """
+    tables = []
+    for s in range(rp.n_states):
+        sel = np.flatnonzero(rp.sources == s)
+        if len(sel) == 0:
+            tables.append(None)
+            continue
+        cum = np.cumsum(rp.rates[sel])
+        cum = cum / cum[-1]
+        cum[-1] = 1.0
+        tables.append((cum.tolist(), rp.targets[sel].tolist(),
+                       rp.reservoirs[sel].tolist(), rp.omegas[sel].tolist()))
+    exit_rates = rp.exit_rates.tolist()
+    pi_cum = np.cumsum(rp.stationary())
+    y = np.zeros((hi - lo, rp.n_reservoirs))
+    n_jumps = np.zeros(hi - lo, dtype=np.int64)
+    for i in range(lo, hi):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=(i,))))
+        state = int(np.searchsorted(pi_cum, rng.random(), side="right"))
+        state = min(state, rp.n_states - 1)
+        t = 0.0
+        row = y[i - lo]
+        jumps = 0
+        while True:
+            r = exit_rates[state]
+            if r <= 0.0:
+                break
+            t += rng.exponential(1.0 / r)
+            if t > horizon:
+                break
+            cum, targets, res, omegas = tables[state]
+            u = rng.random()
+            m = 0
+            while cum[m] <= u:
+                m += 1
+            row[res[m]] += omegas[m]
+            state = targets[m]
+            jumps += 1
+        n_jumps[i - lo] = jumps
+    return y, n_jumps

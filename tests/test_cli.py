@@ -208,6 +208,33 @@ def test_rate_function_bad_input_exits_2(config_path, tmp_path, capsys,
     assert json.loads(captured.err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["generator", "--kappa", "0.4,0;0.1,0"],
+    ["generator", "--kappa", "0.4,0", "--kappa", "0.1,0"],
+    ["fv-tpm", "--kappa", "0.25,0.5;0.1,0.1"],
+    ["transfer", "--kappa", "0.4,0;0.1,0"],
+    ["transfer", "--lambda", "0.2,0.4"],
+])
+def test_extra_single_values_exit_2(config_path, tmp_path, capsys, argv):
+    rc, captured = run(argv[:1] + ["--config", config_path,
+                                   "--out", str(tmp_path)] + argv[1:], capsys)
+    assert rc == 2
+    payload = json.loads(captured.err)
+    assert payload["error"] == "ConfigError"
+    assert "takes one value" in payload["message"]
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_negative_seed_exits_2(config_path, tmp_path, capsys):
+    rc, captured = run(["trajectories", "--config", config_path,
+                        "--out", str(tmp_path), "--nsamples", "10",
+                        "--seed=-1"], capsys)
+    assert rc == 2
+    payload = json.loads(captured.err)
+    assert payload["error"] == "ConfigError"
+    assert "seed" in payload["message"]
+
+
 def test_kappa_outside_domain_exits_3(config_path, tmp_path, capsys):
     rc, captured = run(["generator", "--config", config_path,
                         "--out", str(tmp_path), "--kappa", "50,0"], capsys)

@@ -135,7 +135,7 @@ def test_upsilon_zero_coupling(qubit_system):
     res = ReservoirSpec(label="off", beta=1.0,
                         coupling=np.zeros((2, 2)),
                         density=canonical_reservoirs()[0].density)
-    upsilon, _ = compute_upsilon(qubit_system, [res])
+    upsilon = compute_upsilon(qubit_system, [res])
     assert np.abs(upsilon).max() == 0.0
 
 
@@ -143,7 +143,7 @@ def test_upsilon_qubit_hand_value(qubit_system):
     """Upsilon for sigma_x coupling is diagonal in the energy basis with
     excited-state entry sum_k (-i pi G_k(1) - H_k(1)) and ground entry the
     omega = -1 analogue."""
-    upsilon, _ = compute_upsilon(qubit_system, canonical_reservoirs())
+    upsilon = compute_upsilon(qubit_system, canonical_reservoirs())
     expect = np.zeros((2, 2), dtype=complex)
     for res in canonical_reservoirs():
         g = effective_density(res)
@@ -156,8 +156,8 @@ def test_upsilon_qubit_hand_value(qubit_system):
 
 def test_upsilon_dissipative_part_psd():
     for model in model_fleet(6, seed=21):
-        upsilon, _ = compute_upsilon(model.system, model.reservoirs,
-                                     lamb_shift=model.lamb_shift)
+        upsilon = compute_upsilon(model.system, model.reservoirs,
+                                  lamb_shift=model.lamb_shift)
         diss = (upsilon.conj().T - upsilon) / 2j     # = pi sum M G >= 0
         evals = np.linalg.eigvalsh(diss)
         assert evals.min() >= -1e-10 * max(1.0, evals.max())

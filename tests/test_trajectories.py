@@ -8,6 +8,8 @@ import pytest
 import oracles
 from conftest import canonical_reservoirs, model_fleet
 
+import fcslab.trajectories
+
 from fcslab import (
     ReservoirSpec,
     SpectralDensity,
@@ -164,6 +166,72 @@ def test_sample_argument_guards(qubit_process):
         sample(qubit_process, -1.0, 10, seed=0)
     with pytest.raises(ConfigError):
         sample(qubit_process, 1.0, 0, seed=0)
+    with pytest.raises(ConfigError):
+        sample(qubit_process, 1.0, 2 ** 32, seed=0)
+    for seed in (-1, True, 1.5, None, "3"):
+        with pytest.raises(ConfigError):
+            sample(qubit_process, 1.0, 10, seed=seed)
+
+
+REFERENCE_SEEDS = [0, 3, 2 ** 32, 2 ** 64 + 5]
+
+
+@pytest.fixture(scope="module")
+def four_level_process():
+    model = model_fleet(1, seed=7, d=4, n_res=3)[0]
+    return build_rate_process(model.system, model.reservoirs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("seed", REFERENCE_SEEDS)
+def test_sample_equals_reference_loop(qubit_process, four_level_process,
+                                      seed, jobs):
+    """Bulk stream keys and the trimmed loop draw exactly the numbers of
+    one SeedSequence per sample; jobs=2 starts a worker at lo > 0."""
+    for rp, horizon, n in ((qubit_process, 8.0, 60),
+                           (four_level_process, 3.4, 200)):
+        ens = sample(rp, horizon, n, seed=seed, jobs=jobs)
+        y, n_jumps = oracles.gillespie_reference(rp, horizon, seed, 0, n)
+        assert np.array_equal(ens.y, y)
+        assert np.array_equal(ens.n_jumps, n_jumps)
+        assert n_jumps.sum() > 2 * n
+
+
+@pytest.mark.parametrize("seed", REFERENCE_SEEDS)
+def test_spawn_keys_match_seed_sequence(seed):
+    for lo, hi, step in ((0, 3000, 7), (2 ** 32 - 40, 2 ** 32, 1)):
+        keys = fcslab.trajectories._spawn_keys(seed, lo, hi)
+        assert keys.shape == (hi - lo, 2) and keys.dtype == np.uint64
+        for i in range(lo, hi, step):
+            want = np.random.SeedSequence(
+                seed, spawn_key=(i,)).generate_state(2, np.uint64)
+            assert np.array_equal(keys[i - lo], want)
+
+
+def test_bootstrap_drawn_once_and_row_gather_exact(four_level_process,
+                                                   monkeypatch):
+    ens = sample(four_level_process, 3.4, 3000, seed=5)
+    draws = []
+    real = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        draws.append(kwargs.get("spawn_key"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    empirical_scgf(ens, 0.05 * four_level_process.betas[None, :])
+    est, se = mean_current_estimates(ens)
+    est2, se2 = mean_current_estimates(ens)
+    assert draws == [(fcslab.trajectories.BOOT_KEY,)]
+    assert np.array_equal(se, se2)
+    # the full gather of all resamples at once, as one array
+    idx = np.random.Generator(np.random.Philox(real(
+        5, spawn_key=(fcslab.trajectories.BOOT_KEY,)))).integers(
+            0, ens.n_samples, size=(fcslab.trajectories.N_BOOT,
+                                    ens.n_samples))
+    boot = ens.y[idx].mean(axis=1) / ens.horizon
+    assert np.array_equal(se, boot.std(axis=0, ddof=1))
+    assert np.array_equal(est, ens.y.mean(axis=0) / ens.horizon)
 
 
 def test_equilibrium_entropy_production_vanishes():

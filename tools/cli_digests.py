@@ -1,7 +1,8 @@
 """Digest the outputs of the ten README command-line invocations.
 
 Writes the README qubit config to a temporary directory, runs every README
-invocation of `python -m fcslab` against it in a fresh process, and prints
+invocation of `python -m fcslab` against it in a fresh process, plus a
+`trajectories` run split over two workers with a two-word seed, and prints
 one line `subcommand file sha256` per output file.  The manifest's
 `wall_time_s` is the only value that differs between reruns, so it is
 masked before hashing.  Diffing the output of two checkouts shows whether
@@ -54,6 +55,8 @@ INVOCATIONS = [
     ["fv-tpm", "--tmax", "5", "--kappa", "0.25,0.5"],
     ["transfer", "--lambda", "0.2", "--tau", "0.2"],
     ["trajectories", "--nsamples", "10000", "--seed", "1"],
+    ["trajectories", "--nsamples", "2000", "--jobs", "2",
+     "--seed=4294967296"],
 ]
 
 WALL_TIME = re.compile(rb'"wall_time_s":[^,}]*')
@@ -72,8 +75,8 @@ def main(argv):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "model.yaml"
         config.write_text(CONFIG)
-        for args in INVOCATIONS:
-            out = Path(tmp) / args[0]
+        for n, args in enumerate(INVOCATIONS):
+            out = Path(tmp) / f"{n}-{args[0]}"
             subprocess.run([sys.executable, "-m", "fcslab", args[0],
                             "--config", str(config), "--out", str(out),
                             *args[1:]],
