@@ -20,6 +20,7 @@ import yaml
 
 from .errors import ConfigError
 from .finite_volume import ReservoirModes
+from .lindblad import QuadratureParams
 from .model import ReservoirSpec, density_from_config, make_model
 
 _SYSTEM_KEYS = {"hamiltonian", "degeneracy_tol"}
@@ -153,8 +154,12 @@ def build_from_dict(data, config_hash=""):
     if "lamb_shift" in run:
         kwargs["lamb_shift"] = bool(run["lamb_shift"])
     if "quadrature" in run:
-        kwargs["quadrature"] = _require_mapping(run["quadrature"],
-                                                "run.quadrature")
+        quadrature = _require_mapping(run["quadrature"], "run.quadrature")
+        try:
+            QuadratureParams.from_mapping(quadrature)
+        except ConfigError as err:
+            raise ConfigError(f"run.quadrature: {err}") from err
+        kwargs["quadrature"] = quadrature
     model = make_model(hamiltonian, reservoirs, **kwargs)
 
     modes = None

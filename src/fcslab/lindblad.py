@@ -26,12 +26,14 @@ trace-preserving one.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import ConfigError, QuadratureNotConverged
-from .model import effective_density
+from .model import effective_density, level_pair_density
 
 # ---------------------------------------------------------------------------
 # vectorization
@@ -59,10 +61,11 @@ class QuadratureParams:
     """Controls for the principal-value integral.
 
     window: half-width of the symmetric interval around the singularity on
-    which the integrand is regularized by subtracting G(omega).
-    panels: composite Gauss-Legendre panels per smooth segment.
-    nodes: starting nodes per panel; doubled until two successive levels
-    agree to rel_tol, up to max_refine doublings.
+    which the integrand is regularized by subtracting G(omega); finite, > 0.
+    panels: composite Gauss-Legendre panels per smooth segment; integer >= 1.
+    nodes: starting nodes per panel, integer >= 2; doubled until two
+    successive levels agree to rel_tol (finite, > 0), up to max_refine
+    doublings (integer >= 1).
     """
 
     window: float = 1.0
@@ -72,8 +75,26 @@ class QuadratureParams:
     max_refine: int = 7
 
     def __post_init__(self):
-        if self.window <= 0 or self.panels < 1 or self.nodes < 2:
-            raise ConfigError("quadrature parameters out of range")
+        for name, least in (("panels", 1), ("nodes", 2), ("max_refine", 1)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, Integral)
+                    or value < least):
+                raise ConfigError(f"quadrature {name} must be an integer "
+                                  f">= {least}, got {value!r}")
+        for name in ("window", "rel_tol"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or not math.isfinite(value) or value <= 0):
+                raise ConfigError(f"quadrature {name} must be a finite "
+                                  f"number > 0, got {value!r}")
+
+    @classmethod
+    def from_mapping(cls, mapping):
+        """Parameters from a config mapping; unknown keys are rejected."""
+        unknown = sorted(set(mapping) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown quadrature parameter {unknown[0]!r}")
+        return cls(**mapping)
 
 
 def _panel_edges(a, b, breakpoints, max_panels):
@@ -136,18 +157,47 @@ def _gauss_rule(nodes):
     return x0, w0
 
 
-def _gauss_sum(fn, edge_arrays, nodes):
-    x0, w0 = _gauss_rule(nodes)
-    total = 0.0
-    for edges in edge_arrays:
-        lo = edges[:-1]
-        hi = edges[1:]
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        pts = mid[:, None] + half[:, None] * x0[None, :]
-        vals = fn(pts.ravel()).reshape(pts.shape)
-        total += float(np.sum(half[:, None] * w0[None, :] * vals))
-    return total
+# Nodes per density call in principal_value: a deep refinement level of a
+# many-panel integral is split into calls of at most this many points (a few
+# edge arrays each), so its temporaries stay small instead of growing with
+# the panel count times 2**max_refine.
+_MAX_POINTS = 1 << 15
+
+
+def _batches(blocks, rows_cap):
+    """Runs of consecutive (role, first row, end row) blocks holding at most
+    rows_cap rows together; a longer block is a run on its own."""
+    batch = []
+    for block in blocks:
+        if batch and block[2] - batch[0][1] > rows_cap:
+            yield batch
+            batch = []
+        batch.append(block)
+    if batch:
+        yield batch
+
+
+def _weighted_values(density, omega, g_at, mid, half, n_window, x0, w0):
+    """Weighted integrand half * w * f on the Gauss nodes of panel rows
+    (mid, half), one row per panel; the first n_window rows lie in the
+    window and take the subtracted integrand, the rest the plain tail one."""
+    pts = mid[:, None] + half[:, None] * x0[None, :]
+    x = pts.ravel()
+    g = density(x)
+    vals = np.empty_like(g)
+    cut = n_window * len(x0)
+    # window rows: (G(x) - G(omega)) / (x - omega)
+    dx = x[:cut] - omega
+    small = np.abs(dx) < 1e-13 * max(1.0, abs(omega))
+    np.divide(g[:cut] - g_at, dx, out=vals[:cut], where=~small)
+    if small.any():
+        # symmetric difference quotient just off the node
+        h = 1e-7 * max(1.0, abs(omega))
+        xs = x[:cut][small]
+        vals[:cut][small] = (density(xs + h) - density(xs - h)) / (2 * h)
+    # tail rows: G(x) / (x - omega)
+    vals[cut:] = g[cut:] / (x[cut:] - omega)
+    return half[:, None] * w0[None, :] * vals.reshape(pts.shape)
 
 
 def principal_value(density, omega, quad=None):
@@ -158,6 +208,12 @@ def principal_value(density, omega, quad=None):
     log term vanishes by symmetry of the window), plus regular tails down to
     the effective support of G.  Composite Gauss-Legendre with node doubling;
     raises QuadratureNotConverged when doubling stalls.
+
+    Each refinement level evaluates the density on the nodes of every panel
+    of the window and both tails stacked row by row, in as few calls as
+    _MAX_POINTS allows (one, until deep levels of many-panel integrals);
+    each edge array's rows are then summed on their own and added in order,
+    window first.
     """
     if quad is None:
         quad = QuadratureParams()
@@ -168,34 +224,38 @@ def principal_value(density, omega, quad=None):
     hi = max(hi, omega + 2 * quad.window)
     breaks = density.breakpoints()
 
-    half = quad.window
-    win_lo, win_hi = omega - half, omega + half
-
-    def window_fn(x):
-        dx = x - omega
-        g = density(x)
-        out = np.empty_like(g)
-        small = np.abs(dx) < 1e-13 * max(1.0, abs(omega))
-        out[~small] = (g[~small] - g_at) / dx[~small]
-        if np.any(small):
-            # symmetric difference quotient just off the node
-            h = 1e-7 * max(1.0, abs(omega))
-            out[small] = (density(x[small] + h) - density(x[small] - h)) / (2 * h)
-        return out
-
-    def tail_fn(x):
-        return density(x) / (x - omega)
-
-    window_panels = _panel_edges(win_lo, win_hi, breaks + [omega], quad.panels)
-    tail_left = _graded_edges(lo, win_lo, breaks, win_lo)
-    tail_right = _graded_edges(win_hi, hi, breaks, win_hi)
+    win_lo, win_hi = omega - quad.window, omega + quad.window
+    roles = (_panel_edges(win_lo, win_hi, breaks + [omega], quad.panels),
+             _graded_edges(lo, win_lo, breaks, win_lo),
+             _graded_edges(win_hi, hi, breaks, win_hi))
+    # (role, first row, end row) of each edge array, window rows first
+    blocks = []
+    row = 0
+    for role, edge_arrays in enumerate(roles):
+        for edges in edge_arrays:
+            blocks.append((role, row, row + len(edges) - 1))
+            row += len(edges) - 1
+    n_window = sum(len(edges) - 1 for edges in roles[0])
+    edge_lo = np.concatenate([e[:-1] for arrays in roles for e in arrays])
+    edge_hi = np.concatenate([e[1:] for arrays in roles for e in arrays])
+    half = 0.5 * (edge_hi - edge_lo)
+    mid = 0.5 * (edge_hi + edge_lo)
 
     previous = None
     nodes = quad.nodes
     for _ in range(quad.max_refine + 1):
-        val = (_gauss_sum(window_fn, window_panels, nodes)
-               + _gauss_sum(tail_fn, tail_left, nodes)
-               + _gauss_sum(tail_fn, tail_right, nodes))
+        x0, w0 = _gauss_rule(nodes)
+        totals = [0.0, 0.0, 0.0]
+        for batch in _batches(blocks, max(1, _MAX_POINTS // nodes)):
+            first, end = batch[0][1], batch[-1][2]
+            terms = _weighted_values(density, omega, g_at, mid[first:end],
+                                     half[first:end],
+                                     max(0, min(n_window, end) - first),
+                                     x0, w0)
+            for role, start, stop in batch:
+                totals[role] += float(np.sum(terms[start - first:
+                                                   stop - first]))
+        val = totals[0] + totals[1] + totals[2]
         if previous is not None:
             if abs(val - previous) <= quad.rel_tol * max(1.0, abs(val)):
                 return val
@@ -265,23 +325,24 @@ class GeneratorParts:
 def _frequency_channels(system, coupling, dens):
     """Active (omega, level pair) channels for one reservoir.
 
-    Yields (omega, e_index, ep_index, jump block 1_{E_e'} D 1_{E_e}).
+    Yields (omega, G(omega), e_index, ep_index, jump block
+    1_{E_e'} D 1_{E_e}), with G evaluated on all level pairs in one call.
     Channels with vanishing spectral weight or vanishing matrix element are
     dropped.
     """
     energies = system.energies
     proj = system.projections
     scale = max(1.0, float(np.abs(coupling).max()))
+    weights = level_pair_density(dens, energies)
     for e in range(len(energies)):
         for ep in range(len(energies)):
-            omega = float(energies[e] - energies[ep])
-            g = float(dens(omega))
+            g = float(weights[e, ep])
             if g <= 0.0:
                 continue
             a = proj[ep] @ coupling @ proj[e]
             if np.abs(a).max() <= 1e-15 * scale:
                 continue
-            yield omega, e, ep, a
+            yield float(energies[e] - energies[ep]), g, e, ep, a
 
 
 def compute_upsilon(system, reservoirs, quad=None, lamb_shift=True):
@@ -297,12 +358,13 @@ def compute_upsilon(system, reservoirs, quad=None, lamb_shift=True):
         dens = effective_density(res)
         coupling = np.asarray(res.coupling, dtype=complex)
         h_cache = {}
-        for omega, e, ep, a in _frequency_channels(system, coupling, dens):
+        for omega, g, e, ep, a in _frequency_channels(system, coupling,
+                                                      dens):
             if omega not in h_cache:
                 h_cache[omega] = (principal_value(dens, omega, quad)
                                   if lamb_shift else 0.0)
             m = a.conj().T @ a          # 1_{E_e} D^* 1_{E_e'} D 1_{E_e}
-            upsilon += m * (-1j * np.pi * float(dens(omega)) - h_cache[omega])
+            upsilon += m * (-1j * np.pi * g - h_cache[omega])
     return upsilon
 
 
@@ -315,8 +377,8 @@ def build_deformed_lindblad(model, kappa, variant=None, quad=None):
     variant = variant or model.variant
     if variant not in ("secular", "diagonal"):
         raise ConfigError("variant must be 'secular' or 'diagonal'")
-    quad = quad or (QuadratureParams(**model.quadrature) if model.quadrature
-                    else None)
+    quad = quad or (QuadratureParams.from_mapping(model.quadrature)
+                    if model.quadrature else None)
     system = model.system
     d = system.dim
 
@@ -330,20 +392,20 @@ def build_deformed_lindblad(model, kappa, variant=None, quad=None):
     for k, res in enumerate(model.reservoirs):
         dens = effective_density(res)
         coupling = np.asarray(res.coupling, dtype=complex)
-        per_freq = {}
-        for omega, e, ep, a in _frequency_channels(system, coupling, dens):
-            rate = 2.0 * np.pi * float(dens(omega))
+        per_freq = {}                   # omega -> [summed jump op, rate]
+        for omega, g, e, ep, a in _frequency_channels(system, coupling,
+                                                      dens):
+            rate = 2.0 * np.pi * g
             channels.append((k, omega, rate, a))
             if variant == "secular":
                 if omega not in per_freq:
-                    per_freq[omega] = np.zeros((d, d), dtype=complex)
-                per_freq[omega] += a
+                    per_freq[omega] = [np.zeros((d, d), dtype=complex), rate]
+                per_freq[omega][0] += a
             else:
                 jump_terms.append((k, omega,
                                    rate * np.kron(a.T, a.conj().T)))
         if variant == "secular":
-            for omega, a_total in per_freq.items():
-                rate = 2.0 * np.pi * float(dens(omega))
+            for omega, (a_total, rate) in per_freq.items():
                 jump_terms.append((k, omega,
                                    rate * np.kron(a_total.T, a_total.conj().T)))
 

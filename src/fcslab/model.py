@@ -405,6 +405,13 @@ class EffectiveDensity:
         return sorted(pts)
 
 
+def level_pair_density(dens, energies):
+    """G(e - e') for every pair of levels, as an (n, n) array indexed
+    [e, e'], from one vectorized density call."""
+    omegas = energies[:, None] - energies[None, :]
+    return dens(omegas.ravel()).reshape(omegas.shape)
+
+
 def effective_density(reservoir):
     """Standard construction of G_k from (beta_k, J_k).
 
@@ -471,17 +478,18 @@ def check_fgr_irreducibility(system, reservoirs, n_probe=2, rng_seed=7):
     projections = system.projections
     energies = system.energies
 
+    weights = [level_pair_density(effective_density(res), energies)
+               for res in reservoirs]
+
     def decide(basis_change=None):
         gens = []
-        for res in reservoirs:
-            dens = effective_density(res)
+        for res, weight in zip(reservoirs, weights):
             coupling = np.asarray(res.coupling, dtype=complex)
             if basis_change is not None:
                 coupling = basis_change.conj().T @ coupling @ basis_change
             for a in range(len(energies)):
                 for b in range(len(energies)):
-                    w = float(energies[a] - energies[b])
-                    if dens(w) <= 0.0:
+                    if weight[a, b] <= 0.0:
                         continue
                     pa = projections[a]
                     pb = projections[b]

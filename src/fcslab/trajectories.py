@@ -425,7 +425,8 @@ def empirical_scgf(ens, kappas, min_ess=50.0):
                 diagnostics={"kappa": kap.tolist(), "ess": float(ess),
                              "min_ess": float(min_ess)})
         estimates.append((shift + np.log(sw / n)) / t)
-        boot = (shift + np.log(w[idx].mean(axis=1))) / t
+        # one resample at a time: w[idx] would hold N_BOOT copies of w
+        boot = (shift + np.log(np.array([w[row].mean() for row in idx]))) / t
         errors.append(boot.std(ddof=1))
         esses.append(ess)
         preds.append(ens.process.tilted_rate(kap))

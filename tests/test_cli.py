@@ -208,6 +208,31 @@ def test_rate_function_bad_input_exits_2(config_path, tmp_path, capsys,
     assert json.loads(captured.err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("quadrature", [
+    {"foo": 1},                 # unknown key
+    {"max_refine": -1},
+    {"max_refine": 0},          # one level can never be compared
+    {"max_refine": 1.5},
+    {"nodes": 2.5},
+    {"panels": 3.7},
+    {"panels": True},
+    {"rel_tol": -1.0},
+    {"rel_tol": float("nan")},
+    {"window": float("inf")},
+])
+def test_bad_quadrature_exits_2(qubit_model, tmp_path, capsys, quadrature):
+    tree = model_to_dict(qubit_model)
+    tree["run"]["quadrature"] = quadrature
+    bad = tmp_path / "bad.yaml"
+    dump_config(tree, bad)
+    rc, captured = run(["moments", "--config", str(bad),
+                        "--out", str(tmp_path)], capsys)
+    assert rc == 2
+    payload = json.loads(captured.err)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith("run.quadrature: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["generator", "--kappa", "0.4,0;0.1,0"],
     ["generator", "--kappa", "0.4,0", "--kappa", "0.1,0"],

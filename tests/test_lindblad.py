@@ -1,7 +1,12 @@
 """Generator layer: principal values, level shift, deformed generator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+
+import fcslab.lindblad
+import fcslab.model
 
 from fcslab import (
     EffectiveDensity,
@@ -19,6 +24,7 @@ from fcslab import (
 )
 from fcslab.errors import QuadratureNotConverged
 from fcslab.lindblad import _gauss_rule
+from fcslab.scgf import ScgfSolver
 
 from conftest import (
     SIGMA_X,
@@ -108,6 +114,146 @@ def test_gauss_rule_cache_is_exact_and_read_only():
     cold = principal_value(g, 1.0)
     assert _gauss_rule.cache_info().currsize > 0
     assert principal_value(g, 1.0) == cold
+
+
+def _bohr_densities(model):
+    """(G_k, omega) for every reservoir and Bohr frequency with G_k > 0."""
+    out = []
+    for res in model.reservoirs:
+        g = effective_density(res)
+        for omega in model.system.bohr_frequencies:
+            if g(float(omega)) > 0.0:
+                out.append((g, float(omega)))
+    return out
+
+
+def _pv_cases():
+    fleet = model_fleet(4, seed=2)
+    assert {res.density.form for m in fleet for res in m.reservoirs} == \
+        {"ohmic", "flat", "table"}
+    cases = [case for m in fleet for case in _bohr_densities(m)]
+    cases += [(effective_density(res), omega)
+              for res in canonical_reservoirs() for omega in (1.0, -1.0)]
+    custom = _plain_density(_exponential, -2.0, 60.0)
+    cases += [(custom, omega) for omega in (1.0, 0.3, -0.5)]
+    return cases
+
+
+def _exponential(w):
+    return np.where(w > 0, w * np.exp(-np.minimum(w, 700)), 0.0)
+
+
+# a breakpoint 1e-12 above omega = 0.3 puts window nodes within 1e-13 of
+# omega, on the symmetric-difference branch
+NEAR_NODE = (_plain_density(_exponential, -2.0, 60.0, breaks=(0.3 + 1e-12,)),
+             0.3)
+
+
+@pytest.mark.parametrize("quad", [
+    None,
+    QuadratureParams(window=0.5, panels=5, nodes=7, rel_tol=1e-12,
+                     max_refine=8),
+])
+def test_pv_equals_reference_bitwise(quad):
+    for g, omega in _pv_cases() + [NEAR_NODE]:
+        assert principal_value(g, omega, quad) == \
+            oracles.principal_value_reference(g, omega, quad), omega
+
+
+def test_pv_stalls_like_reference():
+    short = QuadratureParams(max_refine=1)
+    stalled = 0
+    for g, omega in _pv_cases():
+        try:
+            ref = oracles.principal_value_reference(g, omega, short)
+        except QuadratureNotConverged as err:
+            stalled += 1
+            with pytest.raises(QuadratureNotConverged) as ours:
+                principal_value(g, omega, short)
+            assert ours.value.diagnostics == err.diagnostics
+            assert principal_value(g, omega) == \
+                oracles.principal_value_reference(g, omega)
+        else:
+            assert principal_value(g, omega, short) == ref
+    assert stalled > 0
+
+
+def _counting(dens, sizes):
+    """The same density with every call's input size recorded."""
+    def fn(w):
+        sizes.append(np.size(w))
+        return dens.fn(w)
+    return dataclasses.replace(dens, fn=fn)
+
+
+def test_pv_one_density_call_per_level(monkeypatch):
+    monkeypatch.setattr(fcslab.lindblad, "_MAX_POINTS", 1 << 40)
+    for g, omega in _pv_cases()[::5]:
+        sizes = []
+        principal_value(_counting(g, sizes), omega)
+        levels = sizes[1:]
+        assert sizes[0] == 1                     # G(omega)
+        assert all(b == 2 * a for a, b in zip(levels, levels[1:]))
+        # the level count is the one the refinement needs
+        principal_value(g, omega, QuadratureParams(max_refine=len(levels) - 1))
+        if len(levels) > 2:
+            with pytest.raises(QuadratureNotConverged):
+                principal_value(g, omega,
+                                QuadratureParams(max_refine=len(levels) - 2))
+
+
+def test_pv_density_calls_stay_bounded(monkeypatch):
+    """Deep levels are split into calls of at most _MAX_POINTS nodes, so a
+    level's temporaries do not grow with panels times 2**max_refine."""
+    split = 0
+    # 96 starting nodes: the table densities' ~500 panel rows need a split
+    # from the first level on
+    for quad in (None, QuadratureParams(nodes=96, max_refine=3)):
+        for g, omega in _pv_cases() + [NEAR_NODE]:
+            sizes = []
+            value = principal_value(_counting(g, sizes), omega, quad)
+            assert max(sizes) <= fcslab.lindblad._MAX_POINTS
+            with monkeypatch.context() as uncapped:
+                uncapped.setattr(fcslab.lindblad, "_MAX_POINTS", 1 << 40)
+                whole = []
+                assert principal_value(_counting(g, whole), omega,
+                                       quad) == value
+            assert sum(sizes) == sum(whole)      # the same nodes, regrouped
+            split += len(sizes) > len(whole)
+    assert split > 0
+
+
+def test_pv_split_levels_equal_reference(monkeypatch):
+    # a few rows per call: every edge array sum still sees its own rows
+    monkeypatch.setattr(fcslab.lindblad, "_MAX_POINTS", 100)
+    for g, omega in _pv_cases()[::3] + [NEAR_NODE]:
+        assert principal_value(g, omega) == \
+            oracles.principal_value_reference(g, omega), omega
+
+
+def test_generator_build_evaluates_density_per_reservoir(qubit_model,
+                                                         monkeypatch):
+    sizes = []
+    pv_calls = []
+    real_density = fcslab.model.effective_density
+    real_pv = fcslab.lindblad.principal_value
+
+    def density(res):
+        return _counting(real_density(res), sizes)
+
+    def pv(*args, **kwargs):
+        pv_calls.append(args[1])
+        return real_pv(*args, **kwargs)
+
+    monkeypatch.setattr(fcslab.model, "effective_density", density)
+    monkeypatch.setattr(fcslab.lindblad, "effective_density", density)
+    monkeypatch.setattr(fcslab.lindblad, "principal_value", pv)
+    ScgfSolver(qubit_model)
+    assert len(pv_calls) == 4
+    # one scalar call per principal value, for G(omega); everything else is
+    # one call on all level pairs of a reservoir, or a refinement level
+    assert sizes.count(1) == len(pv_calls)
+    assert sizes.count(4) == 3 * qubit_model.n_reservoirs
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,21 @@ def test_bootstrap_drawn_once_and_row_gather_exact(four_level_process,
     assert np.array_equal(est, ens.y.mean(axis=0) / ens.horizon)
 
 
+def test_empirical_scgf_row_gather_exact(four_level_process):
+    ens = sample(four_level_process, 3.4, 10_000, seed=5)
+    kappas = np.array([0.05, 0.1, 0.15])[:, None] * \
+        four_level_process.betas[None, :]
+    emp = empirical_scgf(ens, kappas)
+    idx = fcslab.trajectories._bootstrap_indices(ens)
+    for kap, se in zip(kappas, emp.std_errors):
+        logw = -(ens.y @ kap)
+        shift = logw.max()
+        w = np.exp(logw - shift)
+        # the full gather of all resamples at once, as one array
+        boot = (shift + np.log(w[idx].mean(axis=1))) / ens.horizon
+        assert se == boot.std(ddof=1)
+
+
 def test_equilibrium_entropy_production_vanishes():
     dens = SpectralDensity(form="ohmic",
                            params={"gamma": 0.5, "exponent": 1.0,
