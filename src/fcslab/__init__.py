@@ -55,7 +55,6 @@ from .transfer import (
     compressed_step,
     extract_blocks,
     build_and_deform,
-    secular_residual,
     transfer_instance,
 )
 from .trajectories import (
@@ -95,7 +94,7 @@ __all__ = [
     "weak_coupling_compare",
     "CompressedDynamics", "PolymerBlocks", "TransferOperator",
     "compressed_map", "compressed_step", "extract_blocks", "build_and_deform",
-    "secular_residual", "transfer_instance",
+    "transfer_instance",
     "RateProcess", "TrajectoryEnsemble", "EmpiricalScgf", "CltReport",
     "build_rate_process", "sample", "empirical_scgf",
     "mean_current_estimates", "clt_test", "entropy_asymmetry",

@@ -192,7 +192,7 @@ def model_to_dict(model):
         "density": res.density.config_dict(),
         "zero_frequency": float(res.zero_frequency),
     } for res in model.reservoirs]
-    return {
+    tree = {
         "system": {
             "hamiltonian": matrix_to_pairs(model.system.hamiltonian),
             "degeneracy_tol": float(model.system.degeneracy_tol),
@@ -206,6 +206,9 @@ def model_to_dict(model):
             "lamb_shift": bool(model.lamb_shift),
         },
     }
+    if model.quadrature:
+        tree["run"]["quadrature"] = dict(model.quadrature)
+    return tree
 
 
 def instance_to_dict(model, modes):

@@ -317,7 +317,7 @@ def _q_matrix(fv, rho, t):
     Everything downstream (chi for any kappa, the full TPM distribution)
     reduces to contractions of Q with the Gibbs weights and energy phases.
     """
-    key = (float(t), hash(rho.tobytes()))
+    key = (float(t), rho.tobytes())
     if key in fv._qcache:
         return fv._qcache[key]
     d, M = fv.sys_dim, fv.mode_dim
@@ -426,8 +426,9 @@ class CorrelationDecay:
     window: tuple                # (index range used for the fit)
 
 
-def _fourier_integral(dens, kappa, t, oversample=3.0):
-    """integral of G(xi) e^{-kappa xi} e^{-i t xi} over the support."""
+def _fourier_integral(dens, kappa, t):
+    """integral of G(xi) e^{-kappa xi} e^{-i t xi} over the support, on
+    16-node Gauss-Legendre panels, at least 64 and 3 per oscillation."""
     lo, hi = dens.support()
     breaks = sorted({lo, hi, *[b for b in dens.breakpoints() if lo < b < hi]})
     nodes, weights = np.polynomial.legendre.leggauss(16)
@@ -435,7 +436,7 @@ def _fourier_integral(dens, kappa, t, oversample=3.0):
     for a, b in zip(breaks[:-1], breaks[1:]):
         n_osc = abs(t) * (b - a) / (2 * np.pi)
         # the floor resolves the density itself, the t-term its oscillations
-        panels = max(64, int(np.ceil(oversample * n_osc)) + 1)
+        panels = max(64, int(np.ceil(3.0 * n_osc)) + 1)
         edges = np.linspace(a, b, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * np.diff(edges)
@@ -447,9 +448,11 @@ def _fourier_integral(dens, kappa, t, oversample=3.0):
 
 
 def correlation_function(reservoir, kappa=0.0, times=None, coupling=None,
-                         fit_window=(1e-1, 1e-3), residual_tol=0.1):
+                         residual_tol=0.1):
     """p_kappa(t) = ||D||^2 |integral G(xi) e^{-kappa xi - i t xi} dxi| with an
-    exponential-envelope fit p <= C e^{-alpha t} on the decay window.
+    exponential-envelope fit p <= C e^{-alpha t} on the decay window, which
+    runs from the first time p falls to 1e-1 of its peak to the first time
+    after that it falls to 1e-3.
 
     Raises NoExponentialDecay when the envelope never enters the window or
     the log-linear fit leaves a residual above residual_tol, which flags
@@ -467,14 +470,13 @@ def correlation_function(reservoir, kappa=0.0, times=None, coupling=None,
     values *= norm2
 
     peak = values.max()
-    hi_frac, lo_frac = max(fit_window), min(fit_window)
-    below = np.nonzero(values <= hi_frac * peak)[0]
+    below = np.nonzero(values <= 1e-1 * peak)[0]
     if len(below) == 0:
         raise NoExponentialDecay(
             "correlations never decayed into the fit window",
             diagnostics={"final_fraction": float(values[-1] / peak)})
     start = int(below[0])
-    under = np.nonzero(values[start:] <= lo_frac * peak)[0]
+    under = np.nonzero(values[start:] <= 1e-3 * peak)[0]
     stop = int(start + under[0]) + 1 if len(under) else len(values)
     sel = slice(start, stop)
     ts = times[sel]
@@ -534,8 +536,7 @@ class WeakCouplingTable:
 
 def weak_coupling_compare(model, kappas, lams, n_modes=3, n_max=2,
                           t_factor=1.0, spacing_margin=0.8,
-                          dimension_cap=8192, rho_rule="tilted",
-                          solver=None):
+                          rho_rule="tilted"):
     """Deviation table |(1/t) log chi - lam^2 f| / (lam^2 |f|) at t = c/lam^2.
 
     Per lambda an instance with n_modes modes per reservoir is built on
@@ -557,8 +558,7 @@ def weak_coupling_compare(model, kappas, lams, n_modes=3, n_max=2,
     """
     from .scgf import ScgfSolver
 
-    if solver is None:
-        solver = ScgfSolver(model, check_irreducibility=False)
+    solver = ScgfSolver(model, check_irreducibility=False)
     kappas = [np.atleast_1d(np.asarray(k, dtype=float)) for k in kappas]
     table = WeakCouplingTable()
     for lam in lams:
@@ -574,8 +574,7 @@ def weak_coupling_compare(model, kappas, lams, n_modes=3, n_max=2,
                  for res in model.reservoirs]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            fv = assemble(model.with_lam(lam), modes,
-                          dimension_cap=dimension_cap)
+            fv = assemble(model.with_lam(lam), modes)
         horizon = fv.recurrence_horizon()
         # spacing = margin * pi / t puts t right at the horizon for
         # margin = 1; tolerate that boundary to rounding

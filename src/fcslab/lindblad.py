@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -288,11 +288,9 @@ class GeneratorParts:
     dim: int
     lam: float
     kappa: np.ndarray
-    variant: str
     upsilon: np.ndarray
     drift_matrix: np.ndarray
     jump_terms: list                   # entries (k, omega, matrix)
-    channels: list = field(default_factory=list)   # (k, omega, rate, jump op)
 
     @property
     def heisenberg(self):
@@ -368,17 +366,15 @@ def compute_upsilon(system, reservoirs, quad=None, lamb_shift=True):
     return upsilon
 
 
-def build_deformed_lindblad(model, kappa, variant=None, quad=None):
+def build_deformed_lindblad(model, kappa):
     """Assemble the deformed weak-coupling generator for a validated model.
 
-    Returns GeneratorParts.  kappa is checked against the model's domain box.
+    Returns GeneratorParts.  kappa is checked against the model's domain box;
+    the variant and the quadrature are the model's own.
     """
     kappa = model.check_kappa(kappa)
-    variant = variant or model.variant
-    if variant not in ("secular", "diagonal"):
-        raise ConfigError("variant must be 'secular' or 'diagonal'")
-    quad = quad or (QuadratureParams.from_mapping(model.quadrature)
-                    if model.quadrature else None)
+    quad = (QuadratureParams.from_mapping(model.quadrature)
+            if model.quadrature else None)
     system = model.system
     d = system.dim
 
@@ -388,7 +384,6 @@ def build_deformed_lindblad(model, kappa, variant=None, quad=None):
     drift = -1j * (np.kron(eye, upsilon) - np.kron(upsilon.conj(), eye))
 
     jump_terms = []
-    channels = []
     for k, res in enumerate(model.reservoirs):
         dens = effective_density(res)
         coupling = np.asarray(res.coupling, dtype=complex)
@@ -396,20 +391,18 @@ def build_deformed_lindblad(model, kappa, variant=None, quad=None):
         for omega, g, e, ep, a in _frequency_channels(system, coupling,
                                                       dens):
             rate = 2.0 * np.pi * g
-            channels.append((k, omega, rate, a))
-            if variant == "secular":
+            if model.variant == "secular":
                 if omega not in per_freq:
                     per_freq[omega] = [np.zeros((d, d), dtype=complex), rate]
                 per_freq[omega][0] += a
             else:
                 jump_terms.append((k, omega,
                                    rate * np.kron(a.T, a.conj().T)))
-        if variant == "secular":
+        if model.variant == "secular":
             for omega, (a_total, rate) in per_freq.items():
                 jump_terms.append((k, omega,
                                    rate * np.kron(a_total.T, a_total.conj().T)))
 
-    return GeneratorParts(dim=d, lam=model.lam, kappa=kappa, variant=variant,
-                          upsilon=upsilon, drift_matrix=drift,
-                          jump_terms=jump_terms, channels=channels)
+    return GeneratorParts(dim=d, lam=model.lam, kappa=kappa, upsilon=upsilon,
+                          drift_matrix=drift, jump_terms=jump_terms)
 

@@ -372,17 +372,6 @@ class EffectiveDensity:
                 "non-finite values")
         return float(out[0]) if scalar else out
 
-    def kms_residual(self, omegas):
-        """max over omegas of |G(-w) - e^{-beta w} G(w)| / max(G(w), tiny)."""
-        w = np.abs(np.asarray(omegas, dtype=float))
-        w = w[w > 0]
-        if len(w) == 0:
-            return 0.0
-        gp = self(w)
-        gm = self(-w)
-        ref = np.maximum(gp, 1e-300)
-        return float(np.max(np.abs(gm - np.exp(-self.beta * w) * gp) / ref))
-
     def support(self):
         """Interval [lo, hi] outside which G is negligible (or exactly 0)."""
         if self.base is not None:
@@ -462,58 +451,35 @@ def _commutant_dimension(generators, dim):
     return null_dim, null_basis
 
 
-def check_fgr_irreducibility(system, reservoirs, n_probe=2, rng_seed=7):
+def check_fgr_irreducibility(system, reservoirs):
     """Decide whether the active jump channels generate an irreducible set.
 
     The generator set is {1_{E_e} D_k 1_{E_e'}} over reservoirs k and level
     pairs with G_k(e - e') > 0.  The commutant of this set is computed by
     solving [S, A] = 0 as a linear system; irreducible means its dimension
-    is exactly 1 (multiples of the identity).
+    is exactly 1 (multiples of the identity).  The decision does not depend
+    on the basis the inputs are written in, so it is made once.
 
     Returns (irreducible, witness): witness is None when irreducible,
-    otherwise a non-scalar commuting matrix.  n_probe extra random unitary
-    basis changes re-verify the (basis-independent) decision.
+    otherwise a non-scalar commuting matrix.
     """
     d = system.dim
     projections = system.projections
     energies = system.energies
 
-    weights = [level_pair_density(effective_density(res), energies)
-               for res in reservoirs]
-
-    def decide(basis_change=None):
-        gens = []
-        for res, weight in zip(reservoirs, weights):
-            coupling = np.asarray(res.coupling, dtype=complex)
-            if basis_change is not None:
-                coupling = basis_change.conj().T @ coupling @ basis_change
-            for a in range(len(energies)):
-                for b in range(len(energies)):
-                    if weight[a, b] <= 0.0:
-                        continue
-                    pa = projections[a]
-                    pb = projections[b]
-                    if basis_change is not None:
-                        pa = basis_change.conj().T @ pa @ basis_change
-                        pb = basis_change.conj().T @ pb @ basis_change
-                    g = pa @ coupling @ pb
-                    if np.abs(g).max() > 1e-14 * max(1.0, np.abs(coupling).max()):
-                        gens.append(g)
-        return _commutant_dimension(gens, d)
-
-    null_dim, null_basis = decide()
-    irreducible = null_dim == 1
-
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(max(0, int(n_probe))):
-        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-        probe_dim, _ = decide(basis_change=q)
-        if probe_dim != null_dim:
-            raise AssertionError(
-                "commutant dimension changed under unitary basis change: "
-                f"{null_dim} vs {probe_dim}")
-
-    if irreducible:
+    gens = []
+    for res in reservoirs:
+        weight = level_pair_density(effective_density(res), energies)
+        coupling = np.asarray(res.coupling, dtype=complex)
+        for a in range(len(energies)):
+            for b in range(len(energies)):
+                if weight[a, b] <= 0.0:
+                    continue
+                g = projections[a] @ coupling @ projections[b]
+                if np.abs(g).max() > 1e-14 * max(1.0, np.abs(coupling).max()):
+                    gens.append(g)
+    null_dim, null_basis = _commutant_dimension(gens, d)
+    if null_dim == 1:
         return True, None
     # witness: commutant element orthogonal to the identity, Hermitized
     eye_vec = np.eye(d, dtype=complex).ravel(order="F") / np.sqrt(d)

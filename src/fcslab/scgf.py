@@ -31,6 +31,10 @@ from .errors import (
 from .lindblad import build_deformed_lindblad
 from .model import check_fgr_irreducibility
 
+FD_MISMATCH_TOL = 1e-6     # transport_moments: analytic vs finite differences
+NEWTON_TOL = 1e-11         # rate_function: Newton stopping tolerance
+NEWTON_MAX_ITER = 80       # rate_function: Newton iteration cap
+
 # ---------------------------------------------------------------------------
 # leading eigenvalue
 # ---------------------------------------------------------------------------
@@ -65,10 +69,10 @@ class ScgfResult:
 class ScgfSolver:
     """Caches the kappa-independent generator pieces for fast re-tilting."""
 
-    def __init__(self, model, variant=None, check_irreducibility=True):
+    def __init__(self, model, check_irreducibility=True):
         self.model = model
-        self.parts = build_deformed_lindblad(
-            model, np.zeros(model.n_reservoirs), variant=variant)
+        self.parts = build_deformed_lindblad(model,
+                                             np.zeros(model.n_reservoirs))
         self.dim = model.system.dim
         self.irreducible = None
         if check_irreducibility:
@@ -201,8 +205,10 @@ class TransportMoments:
     fd_hessian_error: float
 
 
-def transport_moments(model_or_solver, fd_check=True, fd_step=None,
-                      mismatch_tol=1e-6):
+def transport_moments(model_or_solver, fd_check=True):
+    """Moments at kappa = 0 from the analytic gradient and Hessian; with
+    fd_check, Richardson differences of step 1e-4 * (shortest box side) must
+    agree to FD_MISMATCH_TOL = 1e-6 relative, else DerivativeMismatch."""
     solver = _as_solver(model_or_solver)
     kappa0 = np.zeros(solver.model.n_reservoirs)
     _, grad, hess = solver.gradient_and_hessian(kappa0)
@@ -210,7 +216,7 @@ def transport_moments(model_or_solver, fd_check=True, fd_step=None,
     err_g = err_h = 0.0
     if fd_check:
         box = solver.model.domain_box
-        h = fd_step or 1e-4 * float(np.min(box[:, 1] - box[:, 0]))
+        h = 1e-4 * float(np.min(box[:, 1] - box[:, 0]))
         fd_g = _richardson_gradient(solver.f, kappa0, h)
         fd_h = _richardson_hessian(solver.f, kappa0, 10 * h)
         # the finite differences carry eigensolver noise of order eps_f,
@@ -221,12 +227,12 @@ def transport_moments(model_or_solver, fd_check=True, fd_step=None,
         eps_f = 1e-13 * lam2 * max(
             1.0, float(np.abs(solver.parts.assemble(kappa0)).max()))
         gs = max(float(np.linalg.norm(grad)), float(np.linalg.norm(fd_g)),
-                 100 * eps_f / h / mismatch_tol)
+                 100 * eps_f / h / FD_MISMATCH_TOL)
         hs = max(float(np.linalg.norm(hess)), float(np.linalg.norm(fd_h)),
-                 1000 * eps_f / (10 * h) ** 2 / mismatch_tol)
+                 1000 * eps_f / (10 * h) ** 2 / FD_MISMATCH_TOL)
         err_g = float(np.linalg.norm(grad - fd_g)) / gs
         err_h = float(np.linalg.norm(hess - fd_h)) / hs
-        if err_g > mismatch_tol or err_h > mismatch_tol:
+        if err_g > FD_MISMATCH_TOL or err_h > FD_MISMATCH_TOL:
             raise DerivativeMismatch(
                 "analytic and finite-difference derivatives disagree: "
                 f"gradient {err_g:.2e}, hessian {err_h:.2e}",
@@ -329,10 +335,13 @@ class RateFunctionTable:
         return np.array([p.value for p in self.points])
 
 
-def rate_function(model_or_solver, alphas, active=None, tol=1e-11,
-                  max_iter=80, convexity_check=True):
+def rate_function(model_or_solver, alphas, active=None):
     """Legendre transform I(alpha) = -min over the domain box of
     (kappa | alpha) + f(kappa), by damped Newton with box projection.
+
+    Midpoint convexity of f is probed first.  Newton stops when the
+    projected gradient falls to NEWTON_TOL = 1e-11 (relative to the
+    objective) or after NEWTON_MAX_ITER = 80 iterations.
 
     `active` selects a subset of reservoir coordinates; the rest stay
     clamped at 0 (marginal statistics of the active counters).  alphas is
@@ -361,12 +370,11 @@ def rate_function(model_or_solver, alphas, active=None, tol=1e-11,
     if not np.all(np.isfinite(alphas)):
         raise ConfigError("alpha vectors must be finite")
 
-    if convexity_check:
-        _convexity_probe(solver, active, box)
+    _convexity_probe(solver, active, box)
 
     table = RateFunctionTable()
     for alpha in alphas:
-        point = _newton_minimize(solver, alpha, active, box, tol, max_iter)
+        point = _newton_minimize(solver, alpha, active, box)
         table.points.append(point)
     return table
 
@@ -377,12 +385,13 @@ def _full_kappa(kappa_active, active, n_res):
     return full
 
 
-def _convexity_probe(solver, active, box, n_segments=4, seed=97):
-    """Midpoint convexity of f along random segments inside the box."""
-    rng = np.random.default_rng(seed)
+def _convexity_probe(solver, active, box):
+    """Midpoint convexity of f along 4 random segments inside the box,
+    drawn from default_rng(97)."""
+    rng = np.random.default_rng(97)
     n_res = solver.model.n_reservoirs
     span = box[:, 1] - box[:, 0]
-    for _ in range(n_segments):
+    for _ in range(4):
         a = box[:, 0] + span * rng.uniform(0.05, 0.95, size=len(active))
         b = box[:, 0] + span * rng.uniform(0.05, 0.95, size=len(active))
         fa = solver.f(_full_kappa(a, active, n_res))
@@ -396,7 +405,7 @@ def _convexity_probe(solver, active, box, n_segments=4, seed=97):
                              "violation": float(fm - 0.5 * (fa + fb))})
 
 
-def _newton_minimize(solver, alpha, active, box, tol, max_iter):
+def _newton_minimize(solver, alpha, active, box):
     n_res = solver.model.n_reservoirs
     lo, hi = box[:, 0], box[:, 1]
     kappa = np.zeros(len(active))
@@ -408,7 +417,7 @@ def _newton_minimize(solver, alpha, active, box, tol, max_iter):
     value = objective(kappa)
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, NEWTON_MAX_ITER + 1):
         _, grad_f, hess_f = solver.gradient_and_hessian(
             _full_kappa(kappa, active, n_res))
         grad = alpha + grad_f[active]
@@ -420,7 +429,7 @@ def _newton_minimize(solver, alpha, active, box, tol, max_iter):
         at_hi = kappa >= hi - edge
         pgrad[at_lo & (grad > 0)] = 0.0
         pgrad[at_hi & (grad < 0)] = 0.0
-        if np.linalg.norm(pgrad) <= tol * max(1.0, abs(value)):
+        if np.linalg.norm(pgrad) <= NEWTON_TOL * max(1.0, abs(value)):
             converged = True
             break
 
@@ -456,7 +465,8 @@ def _newton_minimize(solver, alpha, active, box, tol, max_iter):
                 break
             t *= 0.5
         if not improved:
-            converged = np.linalg.norm(pgrad) <= 1e3 * tol * max(1.0, abs(value))
+            converged = (np.linalg.norm(pgrad)
+                         <= 1e3 * NEWTON_TOL * max(1.0, abs(value)))
             break
 
     # push flat components toward the smallest norm

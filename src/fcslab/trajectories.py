@@ -34,6 +34,8 @@ from .model import effective_density
 BOOT_KEY = 0xB007          # spawn keys reserving independent substreams
 JITTER_KEY = 0xC17
 N_BOOT = 200               # bootstrap resamples
+MIN_ESS = 50.0             # least effective sample size in empirical_scgf
+CLT_SIGNIFICANCE = 0.01    # family-wise level of clt_test, Bonferroni-split
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +398,15 @@ def _bootstrap_indices(ens):
     return ens._boot_idx
 
 
-def empirical_scgf(ens, kappas, min_ess=50.0):
+def empirical_scgf(ens, kappas):
     """Estimate the generating function on a kappa grid from the ensemble.
 
     The exponential average is reweighted Monte Carlo, so each point guards
     its effective sample size (sum w)^2 / sum w^2; deep tilts where a few
-    trajectories dominate raise EffectiveSampleCollapse instead of quietly
-    returning noise.  Bootstrap resampling indices are drawn once from the
-    substream (seed, BOOT_KEY) and shared by all grid points.
+    trajectories dominate (ESS below MIN_ESS = 50) raise
+    EffectiveSampleCollapse instead of quietly returning noise.  Bootstrap
+    resampling indices are drawn once from the substream (seed, BOOT_KEY)
+    and shared by all grid points.
     """
     kappas = np.atleast_2d(np.asarray(kappas, dtype=float))
     if kappas.shape[1] != ens.process.n_reservoirs:
@@ -418,12 +421,12 @@ def empirical_scgf(ens, kappas, min_ess=50.0):
         w = np.exp(logw - shift)
         sw = w.sum()
         ess = sw * sw / np.dot(w, w)
-        if ess < min_ess:
+        if ess < MIN_ESS:
             raise EffectiveSampleCollapse(
-                f"effective sample size {ess:.1f} below {min_ess} at "
+                f"effective sample size {ess:.1f} below {MIN_ESS} at "
                 f"kappa = {kap.tolist()}",
                 diagnostics={"kappa": kap.tolist(), "ess": float(ess),
-                             "min_ess": float(min_ess)})
+                             "min_ess": MIN_ESS})
         estimates.append((shift + np.log(sw / n)) / t)
         # one resample at a time: w[idx] would hold N_BOOT copies of w
         boot = (shift + np.log(np.array([w[row].mean() for row in idx]))) / t
@@ -476,14 +479,16 @@ class CltReport:
     n_samples: int
 
 
-def clt_test(ens, currents, covariance, significance=0.01, jitter_scale=0.6,
-             rank_tol=1e-8):
+def clt_test(ens, currents, covariance):
     """Test b_T = (y - T currents)/sqrt(T) against N(0, covariance).
 
     currents and covariance must be on the golden-rule scale (physical
-    moments divided by lambda^2).  The jitter width per component is
-    jitter_scale times the coarsest lattice step of that component's
-    increments, scaled by 1/sqrt(T).
+    moments divided by lambda^2).  The jitter width per component is 0.6
+    times the coarsest lattice step of that component's increments, scaled
+    by 1/sqrt(T).  Covariance directions with eigenvalue at most 1e-8 times
+    the largest are dropped.  passed needs every per-direction test and the
+    radius test to pass at CLT_SIGNIFICANCE = 0.01 split over all of them
+    (Bonferroni).
     """
     # imported here: scipy.stats costs about a second of start-up, and only
     # this test uses it
@@ -502,13 +507,13 @@ def clt_test(ens, currents, covariance, significance=0.01, jitter_scale=0.6,
         w = np.abs(ens.process.omegas[ens.process.reservoirs == r])
         w = w[w > 1e-12]
         spacing[r] = w.min() if len(w) else 0.0
-    jitter = jitter_scale * spacing / math.sqrt(t)
+    jitter = 0.6 * spacing / math.sqrt(t)
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(ens.seed, spawn_key=(JITTER_KEY,))))
     z = b + jitter * rng.standard_normal(size=b.shape)
 
     sigma, u = np.linalg.eigh(covariance)
-    keep = sigma > rank_tol * max(sigma.max(), 1e-300)
+    keep = sigma > 1e-8 * max(sigma.max(), 1e-300)
     if not np.any(keep):
         raise ConfigError("predicted covariance has no nonzero directions")
     u = u[:, keep]
@@ -525,11 +530,11 @@ def clt_test(ens, currents, covariance, significance=0.01, jitter_scale=0.6,
         stats[r] = res.statistic
     r2 = np.einsum("ij,jk,ik->i", proj, np.linalg.inv(cov_proj), proj)
     p_mah = float(scipy.stats.kstest(r2, "chi2", args=(u.shape[1],)).pvalue)
-    level = significance / (u.shape[1] + 1)
+    level = CLT_SIGNIFICANCE / (u.shape[1] + 1)
     passed = bool(np.all(p_vals > level) and p_mah > level)
     return CltReport(p_values=p_vals, p_mahalanobis=p_mah, statistic=stats,
                      directions=u, n_dropped=int(k - u.shape[1]),
-                     jitter=jitter, significance=float(significance),
+                     jitter=jitter, significance=CLT_SIGNIFICANCE,
                      passed=passed, n_samples=ens.n_samples)
 
 
@@ -537,25 +542,26 @@ def clt_test(ens, currents, covariance, significance=0.01, jitter_scale=0.6,
 # entropy-production asymmetry
 # ---------------------------------------------------------------------------
 
-def entropy_asymmetry(ens, n_bins=8, min_count=10, quantile=0.995):
+def entropy_asymmetry(ens):
     """Histogram check of P(S/T = -s) / P(S/T = s) = e^{-Ts}.
 
-    Bins the entropy production rate symmetrically about zero and returns
-    (rate midpoints, measured -(1/T) log ratio) for bins where both signs
-    hold at least min_count samples; the fluctuation relation predicts the
-    second column equals the first.  Statistics in the far negative tail are
-    poor by nature, so this is a trend check, not a tolerance one.
+    Bins the entropy production rate symmetrically about zero into 8 bins
+    up to the 0.995 quantile of |S/T| and returns (rate midpoints, measured
+    -(1/T) log ratio) for bins where both signs hold at least 10 samples;
+    the fluctuation relation predicts the second column equals the first.
+    Statistics in the far negative tail are poor by nature, so this is a
+    trend check, not a tolerance one.
     """
     s = ens.entropy / ens.horizon
-    hi = np.quantile(np.abs(s), quantile)
+    hi = np.quantile(np.abs(s), 0.995)
     if hi <= 0:
         raise ConfigError("entropy samples are all zero")
-    edges = np.linspace(0.0, hi, int(n_bins) + 1)
+    edges = np.linspace(0.0, hi, 9)
     mids, ratios = [], []
     for lo, up in zip(edges[:-1], edges[1:]):
         n_pos = int(np.count_nonzero((s > lo) & (s <= up)))
         n_neg = int(np.count_nonzero((s < -lo) & (s >= -up)))
-        if n_pos >= min_count and n_neg >= min_count:
+        if n_pos >= 10 and n_neg >= 10:
             mids.append(0.5 * (lo + up))
             ratios.append(-math.log(n_neg / n_pos) / ens.horizon)
     return np.array(mids), np.array(ratios)

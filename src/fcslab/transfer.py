@@ -124,16 +124,6 @@ def compressed_step(fv, kappa, tau, lam=None):
 # polymer blocks
 # ---------------------------------------------------------------------------
 
-def _compositions(m):
-    """Ordered tuples of positive integers summing to m."""
-    if m == 0:
-        yield ()
-        return
-    for first in range(1, m + 1):
-        for rest in _compositions(m - first):
-            yield (first,) + rest
-
-
 @dataclass
 class PolymerBlocks:
     """Blocks W_n of the telescoped compressed dynamics, n = 1..n_max.
@@ -177,21 +167,6 @@ class PolymerBlocks:
     @property
     def d2(self):
         return self.blocks[0].shape[0]
-
-    def composition_residual(self, m):
-        """Relative defect of sum over compositions of m of W products
-        against the directly computed m-step compressed map."""
-        if not 1 <= m <= self.n_max:
-            raise ConfigError(f"need blocks up to n = {m}, have {self.n_max}")
-        total = np.zeros((self.d2, self.d2), dtype=complex)
-        for comp in _compositions(m):
-            prod = self.blocks[comp[0] - 1]
-            for n in comp[1:]:
-                prod = self.blocks[n - 1] @ prod
-            total += prod
-        ref = self.cd.multi_step(m)
-        return float(np.linalg.norm(total - ref, 2)
-                     / max(np.linalg.norm(ref, 2), 1e-300))
 
 
 def extract_blocks(cd, n_max=N_MAX_DEFAULT):
@@ -277,26 +252,6 @@ class TransferOperator:
         ref = self.blocks.cd.multi_step(m)
         return float(np.linalg.norm(got - ref, 2)
                      / max(np.linalg.norm(ref, 2), 1e-300))
-
-    def m_step_rates(self, ms=None):
-        """(1/(m tau)) log |trace of the compressed m-step map|, the finite-m
-        approximants whose error decays like e^{-m tau gap}."""
-        if ms is None:
-            ms = range(1, self.n_block + 1)
-        out = []
-        for m in ms:
-            tr = np.trace(self.blocks.cd.multi_step(m))
-            out.append((int(m), float(np.log(abs(tr)) / (m * self.blocks.tau))))
-        return out
-
-
-def secular_residual(blocks, mu):
-    """Smallest singular value of 1 - sum_n mu^{-n} W_n; vanishes exactly at
-    eigenvalues of the transfer operator reached from site 1."""
-    a = np.eye(blocks.d2, dtype=complex)
-    for n in range(1, blocks.n_max + 1):
-        a = a - mu ** (-n) * blocks.blocks[n - 1]
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
 def build_and_deform(blocks, n_block=N_BLOCK_DEFAULT, delta=None):
@@ -387,7 +342,7 @@ def _per_reservoir(value, n_res, name):
 
 
 def transfer_instance(model, lam, tau=1.0, n_blocks=2, n_modes=3, n_occ=2,
-                      spacing_margin=0.8, dimension_cap=8192):
+                      spacing_margin=0.8):
     """Finite-volume instance sized for n_blocks polymer blocks at (lam, tau).
 
     Mode grids sit on the system transition frequencies with spacing
@@ -409,5 +364,4 @@ def transfer_instance(model, lam, tau=1.0, n_blocks=2, n_modes=3, n_occ=2,
              for k, res in enumerate(model.reservoirs)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        return assemble(model.with_lam(lam), modes,
-                        dimension_cap=dimension_cap)
+        return assemble(model.with_lam(lam), modes)

@@ -5,8 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# every property test draws the same examples on every run: no random
+# seeding, no example database carried between runs
+settings.register_profile("fcslab", derandomize=True, database=None,
+                          max_examples=60, deadline=None)
+settings.load_profile("fcslab")
 
 from fcslab import (
     ReservoirSpec,

@@ -12,7 +12,7 @@ from scipy.integrate import quad as scipy_quad
 from scipy.linalg import expm
 from scipy.special import expi
 
-from fcslab.errors import QuadratureNotConverged
+from fcslab.errors import ConfigError, QuadratureNotConverged
 from fcslab.lindblad import (
     QuadratureParams,
     _gauss_rule,
@@ -320,6 +320,70 @@ def insertion_blocks(fv, kappa, t_phys, n_max):
             if n < n_max:
                 a = a - embed(s)
     return ws
+
+
+def _compositions(m):
+    """Ordered tuples of positive integers summing to m."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(1, m + 1):
+        for rest in _compositions(m - first):
+            yield (first,) + rest
+
+
+def composition_residual(blocks, m):
+    """Relative defect of the sum over compositions of m of W products
+    against the directly computed m-step compressed map."""
+    if not 1 <= m <= blocks.n_max:
+        raise ConfigError(f"need blocks up to n = {m}, have {blocks.n_max}")
+    total = np.zeros((blocks.d2, blocks.d2), dtype=complex)
+    for comp in _compositions(m):
+        prod = blocks.blocks[comp[0] - 1]
+        for n in comp[1:]:
+            prod = blocks.blocks[n - 1] @ prod
+        total += prod
+    ref = blocks.cd.multi_step(m)
+    return float(np.linalg.norm(total - ref, 2)
+                 / max(np.linalg.norm(ref, 2), 1e-300))
+
+
+def secular_residual(blocks, mu):
+    """Smallest singular value of 1 - sum_n mu^{-n} W_n; vanishes exactly at
+    eigenvalues of the transfer operator reached from site 1."""
+    a = np.eye(blocks.d2, dtype=complex)
+    for n in range(1, blocks.n_max + 1):
+        a = a - mu ** (-n) * blocks.blocks[n - 1]
+    return float(np.linalg.svd(a, compute_uv=False)[-1])
+
+
+def m_step_rates(op, ms=None):
+    """(1/(m tau)) log |trace of the compressed m-step map| of a transfer
+    operator, the finite-m approximants whose error decays like
+    e^{-m tau gap}."""
+    if ms is None:
+        ms = range(1, op.n_block + 1)
+    out = []
+    for m in ms:
+        tr = np.trace(op.blocks.cd.multi_step(m))
+        out.append((int(m), float(np.log(abs(tr)) / (m * op.blocks.tau))))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# detailed balance of an effective density
+# ---------------------------------------------------------------------------
+
+def kms_residual(density, omegas):
+    """max over omegas of |G(-w) - e^{-beta w} G(w)| / max(G(w), tiny)."""
+    w = np.abs(np.asarray(omegas, dtype=float))
+    w = w[w > 0]
+    if len(w) == 0:
+        return 0.0
+    gp = density(w)
+    gm = density(-w)
+    ref = np.maximum(gp, 1e-300)
+    return float(np.max(np.abs(gm - np.exp(-density.beta * w) * gp) / ref))
 
 
 # ---------------------------------------------------------------------------

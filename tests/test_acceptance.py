@@ -317,8 +317,7 @@ def test_criterion_09_trajectories_reproduce_generator_statistics(qubit):
     assert abs(emp.pulls()[0]) <= 3.0, f"scgf pull {emp.pulls()[0]}"
     mom = transport_moments(qubit, fd_check=False)
     lam2 = qubit.lam ** 2
-    report = clt_test(ens, mom.mean_currents / lam2, mom.covariance / lam2,
-                      significance=0.01)
+    report = clt_test(ens, mom.mean_currents / lam2, mom.covariance / lam2)
     assert report.passed, (f"clt p-values {report.p_values}, "
                            f"mahalanobis {report.p_mahalanobis}")
     # bit-level reproducibility: a fresh run of any prefix is identical

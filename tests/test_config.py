@@ -5,14 +5,18 @@ import pytest
 import yaml
 
 from fcslab import (
+    QuadratureParams,
     assemble,
     build_deformed_lindblad,
     build_from_dict,
     density_from_config,
     dump_config,
+    effective_density,
     instance_to_dict,
     load_config,
+    make_model,
     model_to_dict,
+    principal_value,
     resonant_modes,
 )
 from fcslab.config import canonical_hash, matrix_to_pairs
@@ -49,6 +53,25 @@ def test_roundtrip_random_models():
         a = build_deformed_lindblad(original, kappa).heisenberg
         b = build_deformed_lindblad(rebuilt, kappa).heisenberg
         np.testing.assert_allclose(a, b, atol=1e-13 * np.abs(a).max())
+
+
+def test_roundtrip_keeps_quadrature(tmp_path):
+    quadrature = {"nodes": 16, "window": 0.5}
+    original = make_model(np.diag([0.5, -0.5]), canonical_reservoirs(),
+                          lam=0.1, quadrature=quadrature)
+    dump_config(model_to_dict(original), tmp_path / "q.yaml")
+    for rebuilt in (build_from_dict(model_to_dict(original)).model,
+                    load_config(tmp_path / "q.yaml").model):
+        assert rebuilt.quadrature == quadrature
+        quad = QuadratureParams.from_mapping(rebuilt.quadrature)
+        for res in original.reservoirs:
+            dens = effective_density(res)
+            for omega in original.system.bohr_frequencies:
+                assert principal_value(dens, omega, quad) == principal_value(
+                    dens, omega, QuadratureParams(**quadrature))
+        assert np.array_equal(
+            build_deformed_lindblad(rebuilt, np.zeros(2)).upsilon,
+            build_deformed_lindblad(original, np.zeros(2)).upsilon)
 
 
 def test_unknown_keys_are_named(qubit_model):

@@ -9,6 +9,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+import fcslab.finite_volume
 from fcslab import (
     ReservoirSpec,
     ScgfSolver,
@@ -305,6 +306,26 @@ def test_chi_guards(fv32, rho_probe):
     not_psd = np.diag([1.4, -0.4])
     with pytest.raises(ConfigError):
         tpm_distribution(fv32, not_psd, 4.0)
+
+
+def test_q_cache_does_not_trust_hash(qubit_model, monkeypatch):
+    """Two states whose hashes collide still get their own Q matrix."""
+    def instance():
+        model = qubit_model.with_lam(0.3)
+        modes = [resonant_modes(model.system, r, 2, 0.35, n_max=1)
+                 for r in model.reservoirs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            return assemble(model, modes)
+
+    kap, t = np.array([0.4, -0.2]), 4.0
+    up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    want = characteristic_function(instance(), down, kap, t)
+    monkeypatch.setattr(fcslab.finite_volume, "hash", lambda _: 0,
+                        raising=False)
+    fv = instance()
+    characteristic_function(fv, up, kap, t)
+    assert characteristic_function(fv, down, kap, t) == want
 
 
 def test_chi_for_random_states(fv32):

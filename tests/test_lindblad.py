@@ -23,7 +23,7 @@ from fcslab import (
     vec,
 )
 from fcslab.errors import QuadratureNotConverged
-from fcslab.lindblad import _gauss_rule
+from fcslab.lindblad import _frequency_channels, _gauss_rule
 from fcslab.scgf import ScgfSolver
 
 from conftest import (
@@ -339,8 +339,10 @@ def test_generator_commutes_with_free_evolution():
 
 def test_variants_agree_for_simple_bohr_frequencies(qubit_model):
     kappa = np.array([0.3, -0.1])
-    sec = build_deformed_lindblad(qubit_model, kappa, variant="secular")
-    diag = build_deformed_lindblad(qubit_model, kappa, variant="diagonal")
+    sec = build_deformed_lindblad(
+        dataclasses.replace(qubit_model, variant="secular"), kappa)
+    diag = build_deformed_lindblad(
+        dataclasses.replace(qubit_model, variant="diagonal"), kappa)
     assert np.abs(sec.heisenberg - diag.heisenberg).max() < 1e-14
 
 
@@ -351,8 +353,10 @@ def test_variants_differ_with_repeated_gaps():
     res = ReservoirSpec(label="ladder", beta=1.0, coupling=coupling,
                         density=dens)
     model = make_model(np.diag([0.0, 1.0, 2.0]), [res], lam=0.1)
-    sec = build_deformed_lindblad(model, [0.0], variant="secular")
-    diag = build_deformed_lindblad(model, [0.0], variant="diagonal")
+    sec = build_deformed_lindblad(
+        dataclasses.replace(model, variant="secular"), [0.0])
+    diag = build_deformed_lindblad(
+        dataclasses.replace(model, variant="diagonal"), [0.0])
     assert np.abs(sec.heisenberg - diag.heisenberg).max() > 1e-3
 
 
@@ -375,15 +379,18 @@ def test_qubit_population_block_matches_tilted_oracle(qubit_model):
 
 
 def test_channel_rates_match_oracle(qubit_model):
-    parts = build_deformed_lindblad(qubit_model, np.zeros(2))
     down, up = oracles.qubit_rates()
     got_down = {}
     got_up = {}
-    for k, omega, rate, _ in parts.channels:
-        if omega > 0:
-            got_down[k] = rate
-        else:
-            got_up[k] = rate
+    for k, res in enumerate(qubit_model.reservoirs):
+        for omega, g, _, _, _ in _frequency_channels(
+                qubit_model.system, np.asarray(res.coupling, dtype=complex),
+                effective_density(res)):
+            rate = 2.0 * np.pi * g
+            if omega > 0:
+                got_down[k] = rate
+            else:
+                got_up[k] = rate
     assert got_down[0] == pytest.approx(down[0], rel=1e-14)
     assert got_down[1] == pytest.approx(down[1], rel=1e-14)
     assert got_up[0] == pytest.approx(up[0], rel=1e-14)

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from fcslab import (
     EffectiveDensity,
     ReservoirSpec,
@@ -21,7 +24,12 @@ from fcslab.errors import (
     NonPositiveTemperature,
 )
 
-from conftest import SIGMA_X, canonical_reservoirs, random_hermitian
+from conftest import (
+    SIGMA_X,
+    canonical_reservoirs,
+    random_hermitian,
+    random_model,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +120,7 @@ def test_detailed_balance_exact_by_construction():
                             density=random_density(rng))
         g = effective_density(res)
         w = np.concatenate([rng.uniform(0.01, 6.0, size=40), [1e-6, 1e-3, 8.0]])
-        assert g.kms_residual(w) <= 1e-14
+        assert oracles.kms_residual(g, w) <= 1e-14
 
 
 def test_detailed_balance_detects_corruption():
@@ -127,7 +135,7 @@ def test_detailed_balance_detects_corruption():
 
     bad = EffectiveDensity(label="broken", beta=res.beta, fn=broken,
                            base=res.density)
-    assert bad.kms_residual(np.linspace(0.1, 4.0, 40)) > 0.2
+    assert oracles.kms_residual(bad, np.linspace(0.1, 4.0, 40)) > 0.2
 
 
 def test_bose_occupation_values():
@@ -229,6 +237,46 @@ def test_irreducibility_unitary_invariance(qubit_system):
                             density=res.density)
     ok, _ = check_fgr_irreducibility(build_system(e_rot), [res_rot])
     assert ok
+
+
+def _reducible_cases():
+    """(Hamiltonian, reservoirs) of the three reducible fixtures above:
+    identity, diagonal and first-two-levels-only coupling."""
+    dens = canonical_reservoirs()[0].density
+    block = np.zeros((3, 3), dtype=complex)
+    block[0, 1] = block[1, 0] = 1.0
+    cases = [(np.diag([0.5, -0.5]), np.eye(2)),
+             (np.diag([0.5, -0.5]), np.diag([1.0, -1.0])),
+             (np.diag([0.0, 1.0, 5.0]), block)]
+    return [(e, [ReservoirSpec(label="r", beta=1.0, coupling=c,
+                               density=dens)])
+            for e, c in cases]
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_irreducibility_decision_is_basis_independent(seed):
+    """Rotating H and every coupling by a random unitary leaves the
+    decision unchanged, on a random model and the reducible fixtures, in
+    two random bases each."""
+    rng = np.random.default_rng(seed)
+    model = random_model(rng)
+    for e, reservoirs in ([(model.system.hamiltonian, model.reservoirs)]
+                          + _reducible_cases()):
+        ok, witness = check_fgr_irreducibility(build_system(e), reservoirs)
+        assert (witness is None) == ok
+        d = e.shape[0]
+        for _ in range(2):
+            q = np.linalg.qr(rng.normal(size=(d, d))
+                             + 1j * rng.normal(size=(d, d)))[0]
+            rotated = [ReservoirSpec(label=r.label, beta=r.beta,
+                                     coupling=q @ r.coupling @ q.conj().T,
+                                     density=r.density,
+                                     zero_frequency=r.zero_frequency)
+                       for r in reservoirs]
+            ok_rot, witness_rot = check_fgr_irreducibility(
+                build_system(q @ e @ q.conj().T), rotated)
+            assert ok_rot == ok
+            assert (witness_rot is None) == ok
 
 
 # ---------------------------------------------------------------------------
