@@ -207,7 +207,10 @@ def model_to_dict(model):
         },
     }
     if model.quadrature:
-        tree["run"]["quadrature"] = dict(model.quadrature)
+        # numpy scalars become the Python scalars YAML can represent
+        tree["run"]["quadrature"] = {
+            key: value.item() if isinstance(value, np.generic) else value
+            for key, value in model.quadrature.items()}
     return tree
 
 

@@ -13,7 +13,9 @@ relies on.
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +32,7 @@ from .errors import (
     RecurrenceHorizonExceeded,
     TruncationWarning,
 )
-from .model import effective_density, require_hermitian
+from .model import check_hermitian, effective_density
 
 GROUP_TOL = 1e-9
 GIBBS_TAIL_WARN = 1e-6
@@ -154,7 +156,8 @@ class FiniteVolumeModel:
         """Per-block (indices, eigvals, eigvecs) over the exact sparsity
         components of H.  Conserved checkerboard parities (e.g. sigma_x
         coupling to linear mode displacements) split the matrix in two,
-        quartering the diagonalization cost with no approximation."""
+        quartering the diagonalization cost with no approximation; the
+        blocks are diagonalized side by side when BLAS runs one thread."""
         if self._eig is None:
             pattern = scipy.sparse.csr_matrix(self.hamiltonian != 0.0)
             n_comp, labels = scipy.sparse.csgraph.connected_components(
@@ -163,17 +166,18 @@ class FiniteVolumeModel:
                 eps, vecs = np.linalg.eigh(self.hamiltonian)
                 self._eig = [(np.arange(self.dim), eps, vecs)]
             else:
-                data = []
-                for c in range(n_comp):
-                    idx = np.flatnonzero(labels == c)
+                def block(idx):
                     eps, vecs = np.linalg.eigh(
                         self.hamiltonian[np.ix_(idx, idx)])
-                    data.append((idx, eps, vecs))
-                self._eig = data
+                    return idx, eps, vecs
+                self._eig = _block_map(
+                    block, [np.flatnonzero(labels == c)
+                            for c in range(n_comp)])
         return self._eig
 
     def propagator(self, t):
-        """U = exp(-i t H), cached for the handful of times in active use."""
+        """U = exp(-i t H), cached for the handful of times in active use.
+        The block products run in turn, which keeps the peak memory down."""
         key = float(t)
         if key not in self._prop:
             if len(self._prop) >= 4:
@@ -189,6 +193,37 @@ class FiniteVolumeModel:
                         (vecs * np.exp(-1j * eps * t)) @ vecs.conj().T
             self._prop[key] = u
         return self._prop[key]
+
+
+def _block_map(fn, items):
+    """[fn(x) for x in items], on separate cores when BLAS runs one thread.
+
+    Each item is an independent one-thread BLAS/LAPACK call, so running
+    them side by side returns the same bits as running them in turn.
+    OpenBLAS takes its thread count from OPENBLAS_NUM_THREADS, then
+    GOTO_NUM_THREADS, then OMP_NUM_THREADS, and otherwise runs one per
+    core; with more than one BLAS thread the loop stays serial.  The calling
+    thread takes the first item itself: every extra thread allocates from
+    its own malloc arena, which keeps what it frees, so one thread fewer
+    keeps the peak memory near the serial loop's.  The pool lives for one
+    call only: a pool held across the fork of a process pool can deadlock
+    in the child.
+    """
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    blas_threads = cores
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas_threads = int(value)
+            break
+    workers = min(len(items), cores) if blas_threads == 1 else 1
+    if workers < 2:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        rest = pool.map(fn, items[1:])
+        first = fn(items[0])
+        return [first, *rest]
 
 
 def _mode_occupations(dims):
@@ -266,7 +301,7 @@ def assemble(model, modes, dimension_cap=8192):
     full_diag = (sys_diag[:, None] + energy.sum(axis=0)[None, :]).ravel()
     ham[np.diag_indices(total)] += full_diag
 
-    require_hermitian(ham, "finite-volume Hamiltonian")
+    check_hermitian(ham, "finite-volume Hamiltonian")
     return FiniteVolumeModel(system=model.system,
                              reservoirs=list(model.reservoirs),
                              modes=list(modes), lam=model.lam,
@@ -303,7 +338,7 @@ def _check_rho(rho, d):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d, d):
         raise ConfigError(f"system state must be {d}x{d}")
-    require_hermitian(rho, "system state")
+    check_hermitian(rho, "system state")
     if abs(np.trace(rho).real - 1.0) > 1e-10:
         raise ConfigError("system state must have unit trace")
     if np.linalg.eigvalsh(rho).min() < -1e-10:

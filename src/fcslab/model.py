@@ -68,16 +68,24 @@ class SystemSpec:
         return bool(np.all(self.multiplicities == 1))
 
 
-def require_hermitian(matrix, name="matrix", tol=HERMITICITY_TOL):
+def check_hermitian(matrix, name="matrix"):
+    """Raise unless matrix is square and Hermitian to HERMITICITY_TOL
+    relative to its largest entry (at least 1)."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigError(f"{name} must be square, got shape {m.shape}")
     scale = max(1.0, float(np.abs(m).max()))
     defect = float(np.abs(m - m.conj().T).max())
-    if defect > tol * scale:
+    if defect > HERMITICITY_TOL * scale:
         raise NonHermitianInput(
             f"{name} is not Hermitian: max |M - M^*| = {defect:.3e} "
-            f"exceeds {tol:.1e} * {scale:.3e}")
+            f"exceeds {HERMITICITY_TOL:.1e} * {scale:.3e}")
+
+
+def require_hermitian(matrix, name="matrix"):
+    """check_hermitian, then the Hermitian part 0.5 (M + M^*)."""
+    check_hermitian(matrix, name)
+    m = np.asarray(matrix, dtype=complex)
     return 0.5 * (m + m.conj().T)
 
 
@@ -549,6 +557,8 @@ class ModelConfig:
             raise ConfigError("coupling strength lambda must be >= 0")
         if self.variant not in ("secular", "diagonal"):
             raise ConfigError("variant must be 'secular' or 'diagonal'")
+        from .lindblad import QuadratureParams
+        QuadratureParams.from_mapping(self.quadrature)
         rho = require_hermitian(self.rho_system, name="rho_system")
         evals = np.linalg.eigvalsh(rho)
         if evals.min() < -1e-12 or abs(np.trace(rho).real - 1.0) > 1e-12:

@@ -44,9 +44,9 @@ def _counting_phase(fv, nu):
 def _sandwich(fv, kappa, t):
     """B = Gamma(w_{kappa/2}) U_t Gamma(w_{-kappa/2}); the deformed one-sided
     propagator, so the deformed dynamics is A -> B A B*."""
-    u = fv.propagator(t)
-    return (_counting_phase(fv, kappa / 2)[:, None] * u
-            * _counting_phase(fv, -kappa / 2)[None, :])
+    b = _counting_phase(fv, kappa / 2)[:, None] * fv.propagator(t)
+    b *= _counting_phase(fv, -kappa / 2)[None, :]
+    return b
 
 
 def compressed_map(fv, kappa, t):

@@ -74,6 +74,25 @@ def test_roundtrip_keeps_quadrature(tmp_path):
             build_deformed_lindblad(original, np.zeros(2)).upsilon)
 
 
+def test_dump_writes_numpy_quadrature_as_plain_scalars(tmp_path):
+    """Quadrature values given as numpy scalars are dumped as the Python
+    scalars YAML can represent and reload to the same principal values."""
+    original = make_model(np.diag([0.5, -0.5]), canonical_reservoirs(),
+                          lam=0.1, quadrature={"nodes": np.int64(16),
+                                               "window": np.float64(0.5)})
+    dump_config(model_to_dict(original), tmp_path / "q.yaml")
+    rebuilt = load_config(tmp_path / "q.yaml").model
+    assert rebuilt.quadrature == {"nodes": 16, "window": 0.5}
+    assert all(type(v) in (int, float) for v in rebuilt.quadrature.values())
+    quad = QuadratureParams.from_mapping(rebuilt.quadrature)
+    quad0 = QuadratureParams.from_mapping(original.quadrature)
+    for res in original.reservoirs:
+        dens = effective_density(res)
+        for omega in original.system.bohr_frequencies:
+            assert principal_value(dens, omega, quad) == \
+                principal_value(dens, omega, quad0)
+
+
 def test_unknown_keys_are_named(qubit_model):
     for mutate, needle in [
             (lambda t: t["system"].__setitem__("frob", 1), "system.frob"),

@@ -1,6 +1,7 @@
 """Finite-volume assembly, two-point measurement statistics, correlation
 decay checks, and the weak-coupling comparison harness."""
 
+import dataclasses
 import itertools
 import warnings
 
@@ -326,6 +327,85 @@ def test_q_cache_does_not_trust_hash(qubit_model, monkeypatch):
     fv = instance()
     characteristic_function(fv, up, kap, t)
     assert characteristic_function(fv, down, kap, t) == want
+
+
+def _pin_blas(monkeypatch, cores, **env):
+    """Pretend to run on `cores` cores with the given BLAS variables."""
+    monkeypatch.setattr(fcslab.finite_volume.os, "sched_getaffinity",
+                        lambda pid: set(range(cores)))
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+
+
+def test_threaded_blocks_match_serial_bit_for_bit(fv32, monkeypatch):
+    """The parity blocks give the same bits on separate cores as in turn.
+    fv32's 16x16 blocks stay below OpenBLAS's own threading thresholds, so
+    this holds whatever thread count BLAS itself runs."""
+    built = []
+
+    class CountingPool(fcslab.finite_volume.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    def fresh():
+        return dataclasses.replace(fv32, _eig=None, _prop={}, _qcache={})
+
+    _pin_blas(monkeypatch, 2, OPENBLAS_NUM_THREADS="2")
+    serial = fresh()
+    serial_props = [serial.propagator(t) for t in (1.5, 4.0)]
+    assert len(serial._eig_data()) >= 2
+
+    monkeypatch.setattr(fcslab.finite_volume, "ThreadPoolExecutor",
+                        CountingPool)
+    _pin_blas(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+    threaded = fresh()
+    threaded_props = [threaded.propagator(t) for t in (1.5, 4.0)]
+    # one pool for the eigendecompositions, whose first block the calling
+    # thread takes; the propagator products run in turn
+    assert built == [{"max_workers": 1}]
+    for (i0, e0, v0), (i1, e1, v1) in zip(serial._eig_data(),
+                                          threaded._eig_data()):
+        assert np.array_equal(i0, i1)
+        assert np.array_equal(e0, e1)
+        assert np.array_equal(v0, v1)
+    for u0, u1 in zip(serial_props, threaded_props):
+        assert np.array_equal(u0, u1)
+
+
+@pytest.mark.parametrize("cores, env, workers", [
+    (2, {}, 0),                                   # BLAS takes every core
+    (2, {"OPENBLAS_NUM_THREADS": "2"}, 0),
+    (2, {"OPENBLAS_NUM_THREADS": "4"}, 0),
+    (1, {"OPENBLAS_NUM_THREADS": "1"}, 0),
+    (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 0),
+    (2, {"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 0),
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+    (2, {"GOTO_NUM_THREADS": "1"}, 2),
+    (2, {"OMP_NUM_THREADS": "1"}, 2),
+    (8, {"OPENBLAS_NUM_THREADS": "2"}, 0),        # idle cores, threaded BLAS
+    (16, {"OPENBLAS_NUM_THREADS": "1"}, 3),       # capped by the items
+])
+def test_block_map_threads_only_with_one_blas_thread(monkeypatch, cores, env,
+                                                     workers):
+    """No pool is built unless BLAS runs one thread and there are at least
+    two cores; OpenBLAS's variables are read in OpenBLAS's own order.  The
+    calling thread is one of the `workers`."""
+    built = []
+
+    class RecordingPool(fcslab.finite_volume.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(fcslab.finite_volume, "ThreadPoolExecutor",
+                        RecordingPool)
+    _pin_blas(monkeypatch, cores, **env)
+    out = fcslab.finite_volume._block_map(lambda x: 2 * x, [1, 2, 3])
+    assert out == [2, 4, 6]
+    assert built == ([workers - 1] if workers else [])
 
 
 def test_chi_for_random_states(fv32):

@@ -1,5 +1,7 @@
 """Model layer: diagonalization, effective densities, irreducibility."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -302,6 +304,20 @@ def test_model_validation_errors():
                         density=res[0].density)
     with pytest.raises(ConfigError):
         make_model(np.diag([0.5, -0.5]), [bad], lam=0.1)
+
+
+def test_make_model_validates_quadrature():
+    """A bad quadrature mapping is refused when the model is built, not at
+    its first generator build."""
+    res = canonical_reservoirs()
+    for quadrature in ({"bogus": 1}, {"nodes": 1}, {"window": -1.0}):
+        with pytest.raises(ConfigError, match="quadrature"):
+            make_model(np.diag([0.5, -0.5]), res, lam=0.1,
+                       quadrature=quadrature)
+    model = make_model(np.diag([0.5, -0.5]), res, lam=0.1,
+                       quadrature={"nodes": 16})
+    with pytest.raises(ConfigError, match="unknown quadrature parameter"):
+        dataclasses.replace(model, quadrature={"bogus": 1})
 
 
 def test_kappa_domain_check(qubit_model):

@@ -32,6 +32,7 @@ from fcslab.errors import (
 )
 from fcslab.finite_volume import assemble, resonant_modes
 from fcslab.scgf import ScgfSolver
+from fcslab.transfer import _counting_phase, _sandwich
 
 KAPPA = np.array([0.4, 0.0])
 
@@ -89,6 +90,15 @@ def blocks1458(fv1458):
 def test_zero_time_is_identity(fv32):
     c = compressed_map(fv32, KAPPA, 0.0)
     assert np.array_equal(c, np.eye(4))
+
+
+def test_sandwich_in_place_is_bit_identical(fv32):
+    """Scaling the columns in place forms the same products in the same
+    order as the out-of-place B = Gamma U Gamma."""
+    for kappa, t in ((KAPPA, 0.5 / 0.09), (np.array([-0.3, 1.1]), 2.0)):
+        want = (_counting_phase(fv32, kappa / 2)[:, None] * fv32.propagator(t)
+                * _counting_phase(fv32, -kappa / 2)[None, :])
+        assert np.array_equal(_sandwich(fv32, kappa, t), want)
 
 
 def test_kappa_shape_checked(fv32):

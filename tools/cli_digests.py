@@ -3,9 +3,9 @@
 Writes the README qubit config to a temporary directory, runs every README
 invocation of `python -m fcslab` against it in a fresh process, plus a
 `trajectories` run split over two workers with a two-word seed, and prints
-one line `subcommand file sha256` per output file.  The manifest's
-`wall_time_s` is the only value that differs between reruns, so it is
-masked before hashing.  Diffing the output of two checkouts shows whether
+one line `blas-threads subcommand file sha256` per output file.  The
+manifest's `wall_time_s` is the only value that differs between reruns, so
+it is masked before hashing.  Diffing the output of two checkouts shows whether
 a change moved any output byte:
 
     python tools/cli_digests.py > change.txt
@@ -14,6 +14,12 @@ a change moved any output byte:
 
 The optional argument is the checkout whose `src/` is run (default: the
 one holding this script).  Needs only the package's own dependencies.
+
+The last bits of the finite-volume outputs depend on how many threads BLAS
+runs, so every invocation runs twice: with BLAS pinned to one thread, where
+on two or more cores the finite-volume parity blocks are diagonalized side
+by side, and with two BLAS threads, where they are diagonalized in turn.
+The calling shell's BLAS variables are overridden.
 """
 
 import hashlib
@@ -71,18 +77,21 @@ def file_digest(path):
 
 def main(argv):
     root = Path(argv[1] if len(argv) > 1 else Path(__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "model.yaml"
         config.write_text(CONFIG)
-        for n, args in enumerate(INVOCATIONS):
-            out = Path(tmp) / f"{n}-{args[0]}"
-            subprocess.run([sys.executable, "-m", "fcslab", args[0],
-                            "--config", str(config), "--out", str(out),
-                            *args[1:]],
-                           env=env, check=True, stdout=subprocess.DEVNULL)
-            for path in sorted(out.iterdir()):
-                print(args[0], path.name, file_digest(path))
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"),
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            for n, args in enumerate(INVOCATIONS):
+                out = Path(tmp) / f"{threads}-{n}-{args[0]}"
+                subprocess.run([sys.executable, "-m", "fcslab", args[0],
+                                "--config", str(config), "--out", str(out),
+                                *args[1:]],
+                               env=env, check=True, stdout=subprocess.DEVNULL)
+                for path in sorted(out.iterdir()):
+                    print(threads, args[0], path.name, file_digest(path))
     return 0
 
 
