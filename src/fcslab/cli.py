@@ -310,6 +310,9 @@ def cmd_rate_function(cfg, args, emit):
 
 
 def cmd_fv_compare(cfg, args, emit):
+    if cfg.modes is not None:
+        raise ConfigError("fv-compare sizes one instance per lambda, so it "
+                          "cannot use the config's pinned modes section")
     model = cfg.model
     lams = _resolve(args, "lam", default=[model.lam], cast=_float_list)
     betas = _betas(model)

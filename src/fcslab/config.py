@@ -42,6 +42,13 @@ def _reject_unknown(mapping, allowed, path):
         raise ConfigError(f"unknown key {path}.{unknown[0]}")
 
 
+def _number(value, path):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path} must be a number, got {value!r}") from None
+
+
 def _matrix(value, path):
     """Row-major flat list of [re, im] pairs -> complex square matrix."""
     if not isinstance(value, list) or not value:
@@ -67,12 +74,11 @@ def matrix_to_pairs(m):
 
 @dataclass
 class LoadedConfig:
-    """Parsed configuration: validated model, optional pinned modes, raw
-    tree, and the hash that run manifests cite."""
+    """Parsed configuration: validated model, optional pinned modes, and the
+    hash that run manifests cite."""
 
     model: object
     modes: list | None
-    raw: dict
     config_hash: str
 
 
@@ -88,10 +94,11 @@ def _build_reservoir(entry, path):
         raise ConfigError(f"{path}.density: {err}") from err
     return ReservoirSpec(
         label=str(entry["label"]),
-        beta=entry["beta"],
+        beta=_number(entry["beta"], f"{path}.beta"),
         coupling=_matrix(entry["coupling"], f"{path}.coupling"),
         density=density,
-        zero_frequency=float(entry.get("zero_frequency", 0.0)))
+        zero_frequency=_number(entry.get("zero_frequency", 0.0),
+                               f"{path}.zero_frequency"))
 
 
 def _build_modes(section, reservoirs, path):
@@ -109,14 +116,13 @@ def _build_modes(section, reservoirs, path):
         if label != res.label:
             raise ConfigError(f"{sub}.label {label!r} does not match "
                               f"reservoir {res.label!r}")
-        freq = np.asarray(entry["frequencies"], dtype=float)
-        coup = np.asarray(entry["couplings"], dtype=float)
-        if freq.ndim != 1 or freq.shape != coup.shape:
-            raise ConfigError(f"{sub}: frequencies and couplings must be "
-                              "equal-length lists")
-        modes.append(ReservoirModes(label=res.label, beta=res.beta,
-                                    frequencies=freq, couplings=coup,
-                                    n_max=int(entry["n_occ"])))
+        try:
+            modes.append(ReservoirModes(
+                label=res.label, beta=res.beta,
+                frequencies=entry["frequencies"],
+                couplings=entry["couplings"], n_max=entry["n_occ"]))
+        except ConfigError as err:
+            raise ConfigError(f"{sub}: {err}") from err
     return modes
 
 
@@ -142,17 +148,23 @@ def build_from_dict(data, config_hash=""):
     _reject_unknown(run, _RUN_KEYS, "run")
     if "lambda" not in run:
         raise ConfigError("run.lambda is required")
-    kwargs = {"lam": run["lambda"]}
+    kwargs = {"lam": _number(run["lambda"], "run.lambda")}
     if "degeneracy_tol" in system:
-        kwargs["degeneracy_tol"] = float(system["degeneracy_tol"])
+        kwargs["degeneracy_tol"] = _number(system["degeneracy_tol"],
+                                           "system.degeneracy_tol")
     if "rho_system" in run:
         kwargs["rho_system"] = _matrix(run["rho_system"], "run.rho_system")
     if "domain_box" in run:
-        kwargs["domain_box"] = np.asarray(run["domain_box"], dtype=float)
+        try:
+            kwargs["domain_box"] = np.asarray(run["domain_box"], dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("run.domain_box must hold numbers") from None
     if "variant" in run:
         kwargs["variant"] = str(run["variant"])
     if "lamb_shift" in run:
-        kwargs["lamb_shift"] = bool(run["lamb_shift"])
+        if not isinstance(run["lamb_shift"], bool):
+            raise ConfigError("run.lamb_shift must be true or false")
+        kwargs["lamb_shift"] = run["lamb_shift"]
     if "quadrature" in run:
         quadrature = _require_mapping(run["quadrature"], "run.quadrature")
         try:
@@ -165,8 +177,7 @@ def build_from_dict(data, config_hash=""):
     modes = None
     if "modes" in data:
         modes = _build_modes(data["modes"], reservoirs, "modes")
-    return LoadedConfig(model=model, modes=modes, raw=data,
-                        config_hash=config_hash)
+    return LoadedConfig(model=model, modes=modes, config_hash=config_hash)
 
 
 def load_config(path):

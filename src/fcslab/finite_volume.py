@@ -17,6 +17,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg
@@ -57,18 +58,24 @@ class ReservoirModes:
     n_max: int
 
     def __post_init__(self):
-        self.frequencies = np.asarray(self.frequencies, dtype=float)
-        self.couplings = np.asarray(self.couplings, dtype=float)
+        try:
+            self.frequencies = np.asarray(self.frequencies, dtype=float)
+            self.couplings = np.asarray(self.couplings, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("mode frequencies and couplings must be "
+                              "numbers") from None
         if self.frequencies.ndim != 1 or \
                 self.frequencies.shape != self.couplings.shape:
             raise ConfigError("mode frequencies and couplings must be "
                               "1-d arrays of equal length")
         if len(self.frequencies) == 0:
             raise EmptyRange(f"reservoir '{self.label}' has no modes")
-        if np.any(self.frequencies <= 0):
+        if not np.all(self.frequencies > 0):
             raise ConfigError("mode frequencies must be positive")
-        if int(self.n_max) < 1:
-            raise ConfigError("n_max must be at least 1")
+        if (isinstance(self.n_max, bool) or not isinstance(self.n_max, Integral)
+                or self.n_max < 1):
+            raise ConfigError(f"occupation cutoff n_max must be an integer "
+                              f">= 1, got {self.n_max!r}")
         self.n_max = int(self.n_max)
 
     @property
@@ -388,17 +395,17 @@ def characteristic_function(fv, rho_system, kappa, t):
     return complex(phase_out @ Q @ phase_in)
 
 
-def _group_energy_vectors(energy):
-    """Cluster configuration energy vectors; returns (labels, values)."""
-    scale = max(1.0, float(np.abs(energy).max()))
-    keys = np.round(energy / (GROUP_TOL * scale)).astype(np.int64)
-    uniq, labels = np.unique(keys.T, axis=0, return_inverse=True)
-    values = np.zeros((len(uniq), energy.shape[0]))
+def _lattice_groups(points, scale):
+    """Group the rows of points that round to the same multiple of
+    GROUP_TOL * max(1, scale); returns (labels, group means)."""
+    keys = np.round(points / (GROUP_TOL * max(1.0, scale))).astype(np.int64)
+    uniq, labels = np.unique(keys, axis=0, return_inverse=True)
+    means = np.zeros((len(uniq), points.shape[1]))
     counts = np.bincount(labels, minlength=len(uniq)).astype(float)
-    for k in range(energy.shape[0]):
-        values[:, k] = np.bincount(labels, weights=energy[k],
-                                   minlength=len(uniq)) / counts
-    return labels, values
+    for k in range(points.shape[1]):
+        means[:, k] = np.bincount(labels, weights=points[:, k],
+                                  minlength=len(uniq)) / counts
+    return labels, means
 
 
 def tpm_distribution(fv, rho_system, t):
@@ -415,7 +422,8 @@ def tpm_distribution(fv, rho_system, t):
                                probabilities=np.array([1.0]), t=float(t))
     rho = _check_rho(rho_system, fv.sys_dim)
     Q = _q_matrix(fv, rho, t)
-    labels, values = _group_energy_vectors(fv.reservoir_energy)
+    energy = fv.reservoir_energy
+    labels, values = _lattice_groups(energy.T, float(np.abs(energy).max()))
     # aggregate Q over (final group, initial group), Gibbs-weighting columns
     wq = Q * fv.gibbs_weights[None, :]
     return _reduce_groups(wq, labels, values, t)
@@ -430,17 +438,9 @@ def _reduce_groups(wq, labels, values, t):
     np.add.at(agg, labels, col.T)
 
     diffs = values[:, None, :] - values[None, :, :]
-    flat_y = diffs.reshape(-1, values.shape[1])
-    flat_p = agg.reshape(-1)
-    scale = max(1.0, float(np.abs(values).max()))
-    keys = np.round(flat_y / (GROUP_TOL * scale)).astype(np.int64)
-    uniq, lab = np.unique(keys, axis=0, return_inverse=True)
-    probs = np.bincount(lab, weights=flat_p, minlength=len(uniq))
-    ys = np.zeros((len(uniq), values.shape[1]))
-    counts = np.bincount(lab, minlength=len(uniq)).astype(float)
-    for k in range(values.shape[1]):
-        ys[:, k] = np.bincount(lab, weights=flat_y[:, k],
-                               minlength=len(uniq)) / counts
+    lab, ys = _lattice_groups(diffs.reshape(-1, values.shape[1]),
+                              float(np.abs(values).max()))
+    probs = np.bincount(lab, weights=agg.reshape(-1), minlength=len(ys))
     keep = probs > 0
     order = np.lexsort(ys[keep].T[::-1])
     return TpmDistribution(support=ys[keep][order],

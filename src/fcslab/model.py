@@ -172,6 +172,16 @@ def build_system(hamiltonian, degeneracy_tol=None):
 # base spectral densities
 # ---------------------------------------------------------------------------
 
+# parameter names and defaults of each form, in config_dict order; a table
+# density takes its arrays instead
+DENSITY_PARAMS = {
+    "ohmic": {"gamma": 1.0, "exponent": 1.0, "cutoff": 1.0},
+    "gaussian": {"gamma": 1.0, "exponent": 1.0, "cutoff": 1.0},
+    "flat": {"height": 1.0, "omega_max": 1.0, "omega_min": 0.0},
+    "table": {},
+}
+
+
 @dataclass(frozen=True)
 class SpectralDensity:
     """Base density J(omega) on omega > 0, with shape metadata for quadrature.
@@ -194,27 +204,32 @@ class SpectralDensity:
     table_value: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.form not in ("ohmic", "gaussian", "flat", "table"):
+        if not isinstance(self.form, str) or self.form not in DENSITY_PARAMS:
             raise ConfigError(f"unknown spectral density form '{self.form}'")
+        defaults = DENSITY_PARAMS[self.form]
+        unknown = set(self.params) - set(defaults)
+        if unknown:
+            raise ConfigError(f"unknown density parameter(s) {sorted(unknown)} "
+                              f"for form '{self.form}'")
+        p = {}
+        for key, default in defaults.items():
+            value = self.params.get(key, default)
+            try:
+                p[key] = float(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{self.form} density {key} must be a "
+                                  f"number, got {value!r}") from None
+        object.__setattr__(self, "params", p)
         if self.form in ("ohmic", "gaussian"):
-            g = float(self.params.get("gamma", 1.0))
-            s = float(self.params.get("exponent", 1.0))
-            wc = float(self.params.get("cutoff", 1.0))
-            if g < 0 or wc <= 0 or s <= 0:
+            if p["gamma"] < 0 or p["cutoff"] <= 0 or p["exponent"] <= 0:
                 raise ConfigError(
                     f"{self.form} density needs gamma >= 0, exponent > 0, "
                     "cutoff > 0")
-            object.__setattr__(self, "params",
-                               {"gamma": g, "exponent": s, "cutoff": wc})
         elif self.form == "flat":
-            h = float(self.params.get("height", 1.0))
-            wm = float(self.params.get("omega_max", 1.0))
-            w0 = float(self.params.get("omega_min", 0.0))
-            if h < 0 or wm <= 0 or w0 < 0 or w0 >= wm:
+            wm, w0 = p["omega_max"], p["omega_min"]
+            if p["height"] < 0 or wm <= 0 or w0 < 0 or w0 >= wm:
                 raise ConfigError(
                     "flat density needs height >= 0, 0 <= omega_min < omega_max")
-            object.__setattr__(self, "params",
-                               {"height": h, "omega_max": wm, "omega_min": w0})
         else:
             if self.table_omega is None or self.table_value is None:
                 raise ConfigError("table density needs omega and value arrays")
@@ -290,25 +305,12 @@ def density_from_config(cfg):
     """Build a SpectralDensity from a config mapping (see config module)."""
     if not isinstance(cfg, dict) or "form" not in cfg:
         raise ConfigError("density must be a mapping with a 'form' key")
-    form = cfg["form"]
-    rest = {k: v for k, v in cfg.items() if k != "form"}
-    if form in ("ohmic", "gaussian"):
-        allowed = {"gamma", "exponent", "cutoff"}
-    elif form == "flat":
-        allowed = {"height", "omega_max", "omega_min"}
-    elif form == "table":
-        allowed = {"omega", "value"}
-    else:
-        raise ConfigError(f"unknown spectral density form '{form}'")
-    unknown = set(rest) - allowed
-    if unknown:
-        raise ConfigError(
-            f"unknown density parameter(s) {sorted(unknown)} for form '{form}'")
-    if form == "table":
-        return SpectralDensity(form="table",
-                               table_omega=np.asarray(rest.get("omega")),
-                               table_value=np.asarray(rest.get("value")))
-    return SpectralDensity(form=form, params=rest)
+    params = {k: v for k, v in cfg.items() if k != "form"}
+    arrays = {}
+    if cfg["form"] == "table":
+        arrays = {"table_omega": params.pop("omega", None),
+                  "table_value": params.pop("value", None)}
+    return SpectralDensity(form=cfg["form"], params=params, **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -489,18 +491,15 @@ def check_fgr_irreducibility(system, reservoirs):
     null_dim, null_basis = _commutant_dimension(gens, d)
     if null_dim == 1:
         return True, None
-    # witness: commutant element orthogonal to the identity, Hermitized
+    # witness: commutant element orthogonal to the identity, Hermitized; an
+    # orthonormal basis of dimension >= 2 has a member off the identity
     eye_vec = np.eye(d, dtype=complex).ravel(order="F") / np.sqrt(d)
-    best = None
     for j in range(null_basis.shape[1]):
         v = null_basis[:, j]
         v = v - eye_vec * (eye_vec.conj() @ v)
         if np.linalg.norm(v) > 1e-8:
-            best = v / np.linalg.norm(v)
             break
-    if best is None:                       # degenerate corner: all scalar
-        return True, None
-    w = best.reshape(d, d, order="F")
+    w = (v / np.linalg.norm(v)).reshape(d, d, order="F")
     h = 0.5 * (w + w.conj().T)
     if np.abs(h).max() < 1e-10:
         h = (w - w.conj().T) / 2j
@@ -565,7 +564,7 @@ class ModelConfig:
             raise ConfigError(
                 "rho_system must be positive semidefinite with unit trace")
         box = np.asarray(self.domain_box, dtype=float)
-        if box.shape != (len(self.reservoirs), 2) or np.any(box[:, 0] >= box[:, 1]):
+        if box.shape != (len(self.reservoirs), 2) or not np.all(box[:, 0] < box[:, 1]):
             raise ConfigError("domain_box must be one (lo < hi) pair per reservoir")
         object.__setattr__(self, "reservoirs", tuple(self.reservoirs))
         object.__setattr__(self, "rho_system", _frozen(rho))

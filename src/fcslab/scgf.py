@@ -58,7 +58,6 @@ class ScgfResult:
     right_eigvec: np.ndarray
     left_eigvec: np.ndarray
     lam: float
-    irreducible: bool | None = None
 
     @property
     def f_rate(self):
@@ -119,7 +118,7 @@ class ScgfSolver:
         lam = self.model.lam
         return ScgfResult(kappa=kappa, f=lam * lam * mu.real, eigenvalue=mu,
                           gap=gap, right_eigvec=right, left_eigvec=left,
-                          lam=lam, irreducible=self.irreducible)
+                          lam=lam)
 
     def _hermitize(self, v):
         d = self.dim

@@ -161,10 +161,6 @@ class PolymerBlocks:
         return self.cd.lam
 
     @property
-    def kappa(self):
-        return self.cd.kappa
-
-    @property
     def d2(self):
         return self.blocks[0].shape[0]
 
@@ -332,36 +328,22 @@ def build_and_deform(blocks, n_block=N_BLOCK_DEFAULT, delta=None):
 # instance sizing
 # ---------------------------------------------------------------------------
 
-def _per_reservoir(value, n_res, name):
-    if np.isscalar(value):
-        return [int(value)] * n_res
-    out = [int(v) for v in value]
-    if len(out) != n_res:
-        raise ConfigError(f"{name} must be a scalar or one value per reservoir")
-    return out
-
-
 def transfer_instance(model, lam, tau=1.0, n_blocks=2, n_modes=3, n_occ=2,
                       spacing_margin=0.8):
     """Finite-volume instance sized for n_blocks polymer blocks at (lam, tau).
 
     Mode grids sit on the system transition frequencies with spacing
     spacing_margin * pi / (n_blocks * t_phys), so the full sweep of the
-    block extraction stays inside the recurrence horizon.  n_modes and n_occ
-    may be scalars or per-reservoir sequences (colder reservoirs tolerate
-    lower occupation cutoffs).
+    block extraction stays inside the recurrence horizon.
     """
     if lam == 0.0:
         raise ConfigError("transfer instances need lambda != 0")
     if tau <= 0 or n_blocks < 1:
         raise ConfigError("need tau > 0 and n_blocks >= 1")
-    n_res = len(model.reservoirs)
-    n_modes = _per_reservoir(n_modes, n_res, "n_modes")
-    n_occ = _per_reservoir(n_occ, n_res, "n_occ")
     t_phys = tau / lam ** 2
     spacing = spacing_margin * np.pi / (n_blocks * t_phys)
-    modes = [resonant_modes(model.system, res, n_modes[k], spacing, n_occ[k])
-             for k, res in enumerate(model.reservoirs)]
+    modes = [resonant_modes(model.system, res, n_modes, spacing, n_occ)
+             for res in model.reservoirs]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         return assemble(model.with_lam(lam), modes)

@@ -10,7 +10,13 @@ import pytest
 
 import fcslab
 import fcslab.cli
-from fcslab import dump_config, load_config, model_to_dict
+from fcslab import (
+    dump_config,
+    instance_to_dict,
+    load_config,
+    model_to_dict,
+    resonant_modes,
+)
 from fcslab.cli import main
 from fcslab.scgf import ScgfSolver
 
@@ -231,6 +237,50 @@ def test_bad_quadrature_exits_2(qubit_model, tmp_path, capsys, quadrature):
     payload = json.loads(captured.err)
     assert payload["error"] == "ConfigError"
     assert payload["message"].startswith("run.quadrature: ")
+
+
+@pytest.mark.parametrize("mutate, key", [
+    (lambda t: t["reservoirs"][0].__setitem__("beta", "abc"),
+     "reservoirs[0].beta"),
+    (lambda t: t["run"].__setitem__("lambda", "abc"), "run.lambda"),
+    (lambda t: t["reservoirs"][0]["density"].__setitem__("gamma", None),
+     "gamma"),
+    (lambda t: t["reservoirs"][1].__setitem__("zero_frequency", "abc"),
+     "reservoirs[1].zero_frequency"),
+    (lambda t: t["run"].__setitem__("domain_box", [["a", 1], [0, 1]]),
+     "run.domain_box"),
+    (lambda t: t["run"].__setitem__("domain_box", [[None, 1], [0, 1]]),
+     "domain_box"),
+    (lambda t: t["system"].__setitem__("degeneracy_tol", "abc"),
+     "system.degeneracy_tol"),
+    (lambda t: t["run"].__setitem__("lamb_shift", "no"), "run.lamb_shift"),
+])
+def test_malformed_number_exits_2(qubit_model, tmp_path, capsys, mutate, key):
+    tree = model_to_dict(qubit_model)
+    mutate(tree)
+    bad = tmp_path / "bad.yaml"
+    dump_config(tree, bad)
+    rc, captured = run(["validate", "--config", str(bad),
+                        "--out", str(tmp_path)], capsys)
+    assert rc == 2
+    payload = json.loads(captured.err)
+    assert payload["error"] == "ConfigError"
+    assert key in payload["message"]
+
+
+@pytest.mark.filterwarnings("ignore::fcslab.errors.TruncationWarning")
+def test_fv_compare_rejects_pinned_modes(qubit_model, tmp_path, capsys):
+    modes = [resonant_modes(qubit_model.system, res, 2, 0.5, n_max=1)
+             for res in qubit_model.reservoirs]
+    pinned = tmp_path / "instance.yaml"
+    dump_config(instance_to_dict(qubit_model, modes), pinned)
+    rc, captured = run(["fv-compare", "--config", str(pinned),
+                        "--out", str(tmp_path / "out")], capsys)
+    assert rc == 2
+    payload = json.loads(captured.err)
+    assert payload["error"] == "ConfigError"
+    assert "fv-compare sizes one instance per lambda" in payload["message"]
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("argv", [

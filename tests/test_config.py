@@ -201,6 +201,16 @@ def test_modes_section_validation(tmp_path, qubit_model):
     tree["modes"][1]["couplings"] = tree["modes"][1]["couplings"][:-1]
     with pytest.raises(ConfigError, match="length"):
         build_from_dict(tree)
+    for n_occ in (2.7, True):
+        tree = instance_to_dict(qubit_model, modes)
+        tree["modes"][0]["n_occ"] = n_occ
+        with pytest.raises(ConfigError, match=r"modes\[0\]: .*integer"):
+            build_from_dict(tree)
+    for bad, needle in (("abc", "numbers"), (None, "positive")):
+        tree = instance_to_dict(qubit_model, modes)
+        tree["modes"][1]["frequencies"][0] = bad
+        with pytest.raises(ConfigError, match=r"modes\[1\]: .*" + needle):
+            build_from_dict(tree)
     tree = instance_to_dict(qubit_model, modes)
     del tree["modes"][0]
     with pytest.raises(ConfigError, match="one entry per reservoir"):

@@ -76,6 +76,10 @@ def test_reservoir_modes_reject_bad_input():
     with pytest.raises(EmptyRange):
         ReservoirModes(label="x", beta=1.0, frequencies=np.array([]),
                        couplings=np.array([]), n_max=1)
+    for n_max in (2.7, True):
+        with pytest.raises(ConfigError, match="integer"):
+            ReservoirModes(label="x", beta=1.0, frequencies=np.array([1.0]),
+                           couplings=np.array([0.1]), n_max=n_max)
 
 
 def test_resonant_modes_grid_layout(qubit_system):

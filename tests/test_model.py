@@ -175,6 +175,10 @@ def test_density_validation():
         SpectralDensity(form="nope")
     with pytest.raises(ConfigError):
         SpectralDensity(form="flat", params={"height": -1.0})
+    with pytest.raises(ConfigError, match="gama"):
+        SpectralDensity(form="ohmic", params={"gama": 0.3})
+    with pytest.raises(ConfigError, match="omega_mx"):
+        SpectralDensity(form="flat", params={"omega_mx": 2.0})
     with pytest.raises(ConfigError):
         SpectralDensity(form="table", table_omega=np.array([0.0, 0.0, 1.0]),
                         table_value=np.array([0.0, 1.0, 0.0]))

@@ -145,8 +145,6 @@ def test_lambda_and_block_time_guards(fv32, qubit):
         compressed_step(fv32, KAPPA, -1.0)
     with pytest.raises(ConfigError):
         transfer_instance(qubit, lam=0.0)
-    with pytest.raises(ConfigError):
-        transfer_instance(qubit, lam=0.2, n_modes=[3, 3, 3])
 
 
 # ---------------------------------------------------------------------------

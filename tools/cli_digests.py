@@ -2,7 +2,9 @@
 
 Writes the README qubit config to a temporary directory, runs every README
 invocation of `python -m fcslab` against it in a fresh process, plus a
-`trajectories` run split over two workers with a two-word seed, and prints
+`trajectories` run split over two workers with a two-word seed, plus an
+`fv-tpm` run on a second qubit config whose reservoirs have a `flat` and a
+`table` density (the README config has only `ohmic` ones), and prints
 one line `blas-threads subcommand file sha256` per output file.  The
 manifest's `wall_time_s` is the only value that differs between reruns, so
 it is masked before hashing.  Diffing the output of two checkouts shows whether
@@ -50,6 +52,31 @@ run:
   lambda: 0.1
 """
 
+# flat (omega_min > 0) and table densities, written back into instance.yaml
+FORMS_CONFIG = """\
+system:
+  hamiltonian:
+    - [0.5, 0.0]
+    - [0.0, 0.0]
+    - [0.0, 0.0]
+    - [-0.5, 0.0]
+reservoirs:
+  - label: hot
+    beta: 1.0
+    coupling: [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+    density: {form: flat, height: 0.3, omega_min: 0.2, omega_max: 4.0}
+  - label: cold
+    beta: 2.0
+    coupling: [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+    density: {form: table, omega: [0.1, 1.0, 2.0, 4.0],
+              value: [0.2, 0.5, 0.4, 0.1]}
+run:
+  lambda: 0.1
+"""
+
+FORMS_INVOCATION = ["fv-tpm", "--tmax", "5", "--modes", "2", "--nocc", "1",
+                    "--kappa", "0.25,0.5"]
+
 INVOCATIONS = [
     ["validate"],
     ["generator", "--kappa", "0.4,0"],
@@ -78,13 +105,17 @@ def file_digest(path):
 def main(argv):
     root = Path(argv[1] if len(argv) > 1 else Path(__file__).parents[1])
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "model.yaml"
-        config.write_text(CONFIG)
+        readme = Path(tmp) / "model.yaml"
+        readme.write_text(CONFIG)
+        forms = Path(tmp) / "forms.yaml"
+        forms.write_text(FORMS_CONFIG)
+        runs = [(readme, args) for args in INVOCATIONS]
+        runs.append((forms, FORMS_INVOCATION))
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"),
                        OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                        MKL_NUM_THREADS=threads)
-            for n, args in enumerate(INVOCATIONS):
+            for n, (config, args) in enumerate(runs):
                 out = Path(tmp) / f"{threads}-{n}-{args[0]}"
                 subprocess.run([sys.executable, "-m", "fcslab", args[0],
                                 "--config", str(config), "--out", str(out),
