@@ -72,6 +72,9 @@ class ReservoirModes:
             raise EmptyRange(f"reservoir '{self.label}' has no modes")
         if not np.all(self.frequencies > 0):
             raise ConfigError("mode frequencies must be positive")
+        if not (np.all(np.isfinite(self.frequencies))
+                and np.all(np.isfinite(self.couplings))):
+            raise ConfigError("mode frequencies and couplings must be finite")
         if (isinstance(self.n_max, bool) or not isinstance(self.n_max, Integral)
                 or self.n_max < 1):
             raise ConfigError(f"occupation cutoff n_max must be an integer "
@@ -164,18 +167,24 @@ class FiniteVolumeModel:
         components of H.  Conserved checkerboard parities (e.g. sigma_x
         coupling to linear mode displacements) split the matrix in two,
         quartering the diagonalization cost with no approximation; the
-        blocks are diagonalized side by side when BLAS runs one thread."""
+        blocks are diagonalized side by side when BLAS runs one thread.
+        When H has no imaginary part (real system Hamiltonian and real
+        couplings), its real part goes to the real symmetric solver, whose
+        eigenvectors are real; a complex H goes to the complex Hermitian
+        solver."""
         if self._eig is None:
-            pattern = scipy.sparse.csr_matrix(self.hamiltonian != 0.0)
+            ham = self.hamiltonian
+            if not np.any(ham.imag):
+                ham = ham.real
+            pattern = scipy.sparse.csr_matrix(ham != 0.0)
             n_comp, labels = scipy.sparse.csgraph.connected_components(
                 pattern, directed=False)
             if n_comp <= 1:
-                eps, vecs = np.linalg.eigh(self.hamiltonian)
+                eps, vecs = np.linalg.eigh(ham)
                 self._eig = [(np.arange(self.dim), eps, vecs)]
             else:
                 def block(idx):
-                    eps, vecs = np.linalg.eigh(
-                        self.hamiltonian[np.ix_(idx, idx)])
+                    eps, vecs = np.linalg.eigh(ham[np.ix_(idx, idx)])
                     return idx, eps, vecs
                 self._eig = _block_map(
                     block, [np.flatnonzero(labels == c)
@@ -184,7 +193,10 @@ class FiniteVolumeModel:
 
     def propagator(self, t):
         """U = exp(-i t H), cached for the handful of times in active use.
-        The block products run in turn, which keeps the peak memory down."""
+        Each block is V e^{-i E t} V*; for real V that is built from two
+        real products, Re U = (V cos Et) V^T and Im U = -(V sin Et) V^T,
+        in place of one complex product.  The block products run in turn,
+        which keeps the peak memory down."""
         key = float(t)
         if key not in self._prop:
             if len(self._prop) >= 4:
@@ -192,14 +204,23 @@ class FiniteVolumeModel:
             data = self._eig_data()
             if len(data) == 1:
                 _, eps, vecs = data[0]
-                u = (vecs * np.exp(-1j * eps * t)) @ vecs.conj().T
+                u = _block_propagator(eps, vecs, t)
             else:
                 u = np.zeros((self.dim, self.dim), dtype=complex)
                 for idx, eps, vecs in data:
-                    u[np.ix_(idx, idx)] = \
-                        (vecs * np.exp(-1j * eps * t)) @ vecs.conj().T
+                    u[np.ix_(idx, idx)] = _block_propagator(eps, vecs, t)
             self._prop[key] = u
         return self._prop[key]
+
+
+def _block_propagator(eps, vecs, t):
+    """V e^{-i E t} V* for one block's eigenpairs."""
+    if np.iscomplexobj(vecs):
+        return (vecs * np.exp(-1j * eps * t)) @ vecs.conj().T
+    u = np.empty((len(eps), len(eps)), dtype=complex)
+    u.real = (vecs * np.cos(eps * t)) @ vecs.T
+    u.imag = (vecs * -np.sin(eps * t)) @ vecs.T
+    return u
 
 
 def _block_map(fn, items):
@@ -397,14 +418,21 @@ def characteristic_function(fv, rho_system, kappa, t):
 
 def _lattice_groups(points, scale):
     """Group the rows of points that round to the same multiple of
-    GROUP_TOL * max(1, scale); returns (labels, group means)."""
+    GROUP_TOL * max(1, scale); returns (labels, group means), the groups in
+    lexicographic order of their integer keys."""
     keys = np.round(points / (GROUP_TOL * max(1.0, scale))).astype(np.int64)
-    uniq, labels = np.unique(keys, axis=0, return_inverse=True)
-    means = np.zeros((len(uniq), points.shape[1]))
-    counts = np.bincount(labels, minlength=len(uniq)).astype(float)
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    labels = np.empty(len(keys), dtype=np.intp)
+    labels[order] = np.cumsum(starts) - 1
+    n_grp = int(starts.sum())
+    means = np.zeros((n_grp, points.shape[1]))
+    counts = np.bincount(labels, minlength=n_grp).astype(float)
     for k in range(points.shape[1]):
         means[:, k] = np.bincount(labels, weights=points[:, k],
-                                  minlength=len(uniq)) / counts
+                                  minlength=n_grp) / counts
     return labels, means
 
 

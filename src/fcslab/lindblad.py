@@ -301,16 +301,18 @@ class GeneratorParts:
         return self.assemble(self.kappa).conj().T
 
     def assemble(self, kappa):
-        """Heisenberg-convention matrix of L_kappa for an arbitrary kappa."""
-        kappa = np.asarray(kappa, dtype=float)
+        """Heisenberg-convention matrix of L_kappa for an arbitrary real
+        kappa; a kappa with a nonzero imaginary part raises ConfigError."""
+        kappa = _real_kappa(kappa)
         total = self.drift_matrix.copy()
         for k, omega, mat in self.jump_terms:
             total += np.exp(-kappa[k] * omega) * mat
         return total
 
     def derivative(self, kappa, which, order=1):
-        """d^order L_kappa / d kappa_which^order as a matrix."""
-        kappa = np.asarray(kappa, dtype=float)
+        """d^order L_kappa / d kappa_which^order as a matrix, at a real
+        kappa."""
+        kappa = _real_kappa(kappa)
         d2 = self.dim * self.dim
         total = np.zeros((d2, d2), dtype=complex)
         for k, omega, mat in self.jump_terms:
@@ -318,6 +320,15 @@ class GeneratorParts:
                 continue
             total += (-omega) ** order * np.exp(-kappa[k] * omega) * mat
         return total
+
+
+def _real_kappa(kappa):
+    """kappa as a float array; a nonzero imaginary part is refused rather
+    than dropped."""
+    kappa = np.asarray(kappa)
+    if np.any(np.imag(kappa)):
+        raise ConfigError(f"kappa must be real, got {kappa}")
+    return np.asarray(np.real(kappa), dtype=float)
 
 
 def _frequency_channels(system, coupling, dens):

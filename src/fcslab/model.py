@@ -336,8 +336,9 @@ class ReservoirSpec:
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ConfigError(
                 f"reservoir '{self.label}': coupling must be square, got {c.shape}")
-        if self.zero_frequency < 0:
-            raise ConfigError("zero_frequency value of G must be >= 0")
+        if not np.isfinite(self.zero_frequency) or self.zero_frequency < 0:
+            raise ConfigError(
+                "zero_frequency value of G must be finite and >= 0")
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "coupling", _frozen(c))
 

@@ -8,11 +8,14 @@ that produced them.
 """
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.csgraph
 from scipy.integrate import quad as scipy_quad
 from scipy.linalg import expm
 from scipy.special import expi
 
 from fcslab.errors import ConfigError, QuadratureNotConverged
+from fcslab.finite_volume import GROUP_TOL, _block_map
 from fcslab.lindblad import (
     QuadratureParams,
     _gauss_rule,
@@ -517,3 +520,69 @@ def principal_value_reference(density, omega, quad=None):
         f"(last change {abs(val - previous):.3e})",
         diagnostics={"omega": omega, "last_value": val,
                      "last_change": abs(val - previous)})
+
+
+# ---------------------------------------------------------------------------
+# finite volume in complex arithmetic
+# ---------------------------------------------------------------------------
+# FiniteVolumeModel._eig_data and .propagator from before a real H went to
+# the real symmetric solver, kept as they were: every H goes to the complex
+# Hermitian solver.  Set them on FiniteVolumeModel to run the finite-volume
+# and transfer routes through this reference.  A complex H must give the
+# library's bits exactly.
+
+def complex_eig_data(self):
+    """Per-block (indices, eigvals, eigvecs) over the exact sparsity
+    components of H.  Conserved checkerboard parities (e.g. sigma_x
+    coupling to linear mode displacements) split the matrix in two,
+    quartering the diagonalization cost with no approximation; the
+    blocks are diagonalized side by side when BLAS runs one thread."""
+    if self._eig is None:
+        pattern = scipy.sparse.csr_matrix(self.hamiltonian != 0.0)
+        n_comp, labels = scipy.sparse.csgraph.connected_components(
+            pattern, directed=False)
+        if n_comp <= 1:
+            eps, vecs = np.linalg.eigh(self.hamiltonian)
+            self._eig = [(np.arange(self.dim), eps, vecs)]
+        else:
+            def block(idx):
+                eps, vecs = np.linalg.eigh(
+                    self.hamiltonian[np.ix_(idx, idx)])
+                return idx, eps, vecs
+            self._eig = _block_map(
+                block, [np.flatnonzero(labels == c)
+                        for c in range(n_comp)])
+    return self._eig
+
+
+def complex_propagator(self, t):
+    """U = exp(-i t H), cached for the handful of times in active use.
+    The block products run in turn, which keeps the peak memory down."""
+    key = float(t)
+    if key not in self._prop:
+        if len(self._prop) >= 4:
+            self._prop.clear()
+        data = self._eig_data()
+        if len(data) == 1:
+            _, eps, vecs = data[0]
+            u = (vecs * np.exp(-1j * eps * t)) @ vecs.conj().T
+        else:
+            u = np.zeros((self.dim, self.dim), dtype=complex)
+            for idx, eps, vecs in data:
+                u[np.ix_(idx, idx)] = \
+                    (vecs * np.exp(-1j * eps * t)) @ vecs.conj().T
+        self._prop[key] = u
+    return self._prop[key]
+
+
+def lattice_groups_reference(points, scale):
+    """The library's _lattice_groups before it sorted with lexsort: groups
+    from np.unique over the integer key rows.  Must match bit for bit."""
+    keys = np.round(points / (GROUP_TOL * max(1.0, scale))).astype(np.int64)
+    uniq, labels = np.unique(keys, axis=0, return_inverse=True)
+    means = np.zeros((len(uniq), points.shape[1]))
+    counts = np.bincount(labels, minlength=len(uniq)).astype(float)
+    for k in range(points.shape[1]):
+        means[:, k] = np.bincount(labels, weights=points[:, k],
+                                  minlength=len(uniq)) / counts
+    return labels, means

@@ -211,10 +211,31 @@ def test_modes_section_validation(tmp_path, qubit_model):
         tree["modes"][1]["frequencies"][0] = bad
         with pytest.raises(ConfigError, match=r"modes\[1\]: .*" + needle):
             build_from_dict(tree)
+    for bad in (None, float("nan"), float("inf")):
+        tree = instance_to_dict(qubit_model, modes)
+        tree["modes"][0]["couplings"][0] = bad
+        with pytest.raises(ConfigError, match=r"modes\[0\]: .*finite"):
+            build_from_dict(tree)
+    tree = instance_to_dict(qubit_model, modes)
+    tree["modes"][1]["frequencies"][1] = float("inf")
+    with pytest.raises(ConfigError, match=r"modes\[1\]: .*finite"):
+        build_from_dict(tree)
     tree = instance_to_dict(qubit_model, modes)
     del tree["modes"][0]
     with pytest.raises(ConfigError, match="one entry per reservoir"):
         build_from_dict(tree)
+
+
+def test_non_finite_zero_frequency_rejected(qubit_model):
+    for bad in (float("nan"), float("inf"), -0.5):
+        tree = model_to_dict(qubit_model)
+        tree["reservoirs"][0]["zero_frequency"] = bad
+        with pytest.raises(ConfigError, match="zero_frequency"):
+            build_from_dict(tree)
+    tree = model_to_dict(qubit_model)
+    tree["reservoirs"][0]["zero_frequency"] = 0.25
+    model = build_from_dict(tree).model
+    assert model.reservoirs[0].zero_frequency == 0.25
 
 
 def test_canonical_hash_is_content_addressed(qubit_model):

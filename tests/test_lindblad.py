@@ -22,7 +22,7 @@ from fcslab import (
     unvec,
     vec,
 )
-from fcslab.errors import QuadratureNotConverged
+from fcslab.errors import ConfigError, QuadratureNotConverged
 from fcslab.lindblad import _frequency_channels, _gauss_rule
 from fcslab.scgf import ScgfSolver
 
@@ -358,6 +358,23 @@ def test_variants_differ_with_repeated_gaps():
     diag = build_deformed_lindblad(
         dataclasses.replace(model, variant="diagonal"), [0.0])
     assert np.abs(sec.heisenberg - diag.heisenberg).max() > 1e-3
+
+
+def test_complex_kappa_is_refused_not_dropped(qubit_model):
+    """assemble and derivative refuse a kappa with an imaginary part; a
+    complex kappa with zero imaginary part gives the real kappa's bytes."""
+    parts = build_deformed_lindblad(qubit_model, np.zeros(2))
+    kappa = np.array([0.4, -0.15])
+    for bad in (kappa + [0.1j, 0.0], [0.4 + 1e-300j, -0.15]):
+        with pytest.raises(ConfigError, match="real"):
+            parts.assemble(bad)
+        with pytest.raises(ConfigError, match="real"):
+            parts.derivative(bad, 0)
+    assert np.array_equal(parts.assemble(kappa.astype(complex)),
+                          parts.assemble(kappa))
+    assert np.array_equal(parts.derivative(kappa.astype(complex), 1, 2),
+                          parts.derivative(kappa, 1, 2))
+    assert np.array_equal(parts.assemble([0, 1]), parts.assemble([0.0, 1.0]))
 
 
 def test_qubit_population_block_matches_tilted_oracle(qubit_model):

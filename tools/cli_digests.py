@@ -4,8 +4,10 @@ Writes the README qubit config to a temporary directory, runs every README
 invocation of `python -m fcslab` against it in a fresh process, plus a
 `trajectories` run split over two workers with a two-word seed, plus an
 `fv-tpm` run on a second qubit config whose reservoirs have a `flat` and a
-`table` density (the README config has only `ohmic` ones), and prints
-one line `blas-threads subcommand file sha256` per output file.  The
+`table` density (the README config has only `ohmic` ones), plus an `fv-tpm`
+run on a third qubit config with sigma_y couplings, whose finite-volume
+Hamiltonian is complex (the README config's is real), and prints one line
+`blas-threads subcommand file sha256` per output file.  The
 manifest's `wall_time_s` is the only value that differs between reruns, so
 it is masked before hashing.  Diffing the output of two checkouts shows whether
 a change moved any output byte:
@@ -77,6 +79,13 @@ run:
 FORMS_INVOCATION = ["fv-tpm", "--tmax", "5", "--modes", "2", "--nocc", "1",
                     "--kappa", "0.25,0.5"]
 
+# sigma_y couplings: a complex finite-volume Hamiltonian
+SIGMA_Y_CONFIG = CONFIG.replace(
+    "coupling: [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]",
+    "coupling: [[0.0, 0.0], [0.0, -1.0], [0.0, 1.0], [0.0, 0.0]]")
+
+SIGMA_Y_INVOCATION = ["fv-tpm", "--tmax", "5", "--kappa", "0.25,0.5"]
+
 INVOCATIONS = [
     ["validate"],
     ["generator", "--kappa", "0.4,0"],
@@ -109,8 +118,11 @@ def main(argv):
         readme.write_text(CONFIG)
         forms = Path(tmp) / "forms.yaml"
         forms.write_text(FORMS_CONFIG)
+        sigma_y = Path(tmp) / "sigma_y.yaml"
+        sigma_y.write_text(SIGMA_Y_CONFIG)
         runs = [(readme, args) for args in INVOCATIONS]
         runs.append((forms, FORMS_INVOCATION))
+        runs.append((sigma_y, SIGMA_Y_INVOCATION))
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"),
                        OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
