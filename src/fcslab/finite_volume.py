@@ -139,7 +139,7 @@ class FiniteVolumeModel:
     gibbs_tail: float
     _eig: list = field(default=None, repr=False)
     _prop: dict = field(default_factory=dict, repr=False)
-    _qcache: dict = field(default_factory=dict, repr=False)
+    _qbasis: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self):
@@ -192,24 +192,20 @@ class FiniteVolumeModel:
         return self._eig
 
     def propagator(self, t):
-        """U = exp(-i t H), cached for the handful of times in active use.
-        Each block is V e^{-i E t} V*; for real V that is built from two
-        real products, Re U = (V cos Et) V^T and Im U = -(V sin Et) V^T,
-        in place of one complex product.  The block products run in turn,
-        which keeps the peak memory down."""
+        """U = exp(-i t H) as its diagonal blocks [(indices, U_block)], one
+        per sparsity component of H in _eig_data's order; cached for the
+        handful of times in active use.  U is zero off these blocks, so no
+        dense U is formed.  Each block is V e^{-i E t} V*; for real V that
+        is built from two real products, Re U = (V cos Et) V^T and
+        Im U = -(V sin Et) V^T, in place of one complex product.  The blocks
+        are built side by side when BLAS runs one thread."""
         key = float(t)
         if key not in self._prop:
             if len(self._prop) >= 4:
                 self._prop.clear()
-            data = self._eig_data()
-            if len(data) == 1:
-                _, eps, vecs = data[0]
-                u = _block_propagator(eps, vecs, t)
-            else:
-                u = np.zeros((self.dim, self.dim), dtype=complex)
-                for idx, eps, vecs in data:
-                    u[np.ix_(idx, idx)] = _block_propagator(eps, vecs, t)
-            self._prop[key] = u
+            self._prop[key] = _block_map(
+                lambda blk: (blk[0], _block_propagator(blk[1], blk[2], t)),
+                self._eig_data())
         return self._prop[key]
 
 
@@ -221,6 +217,36 @@ def _block_propagator(eps, vecs, t):
     u.real = (vecs * np.cos(eps * t)) @ vecs.T
     u.imag = (vecs * -np.sin(eps * t)) @ vecs.T
     return u
+
+
+def _block_layout(blocks, sys_dim):
+    """label[i, m] and pos[i, m]: the block of propagator(t)'s list that
+    holds the basis state (i, m), and its position within that block."""
+    dim = sum(len(idx) for idx, _ in blocks)
+    label = np.empty(dim, dtype=np.intp)
+    pos = np.empty(dim, dtype=np.intp)
+    for n, (idx, _) in enumerate(blocks):
+        label[idx] = n
+        pos[idx] = np.arange(len(idx))
+    return label.reshape(sys_dim, -1), pos.reshape(sys_dim, -1)
+
+
+def _aligned_modes(label, x, y):
+    """{(beta, gamma): modes m with (x, m) in block beta and (y, m) in
+    block gamma}, each array of modes in ascending order."""
+    n = int(label.max()) + 1
+    key = label[x] * n + label[y]
+    order = np.argsort(key, kind="stable")
+    cuts = np.flatnonzero(np.diff(key[order])) + 1
+    return {divmod(int(key[g[0]]), n): g for g in np.split(order, cuts)}
+
+
+def _sub_block(u, rows, cols):
+    """u[np.ix_(rows, cols)] for ascending positions; a run of consecutive
+    positions is taken as a slice, so a whole block row range is a view."""
+    def run(p):
+        return slice(p[0], p[-1] + 1) if p[-1] - p[0] + 1 == len(p) else p
+    return u[run(rows)][:, run(cols)]
 
 
 def _block_map(fn, items):
@@ -322,14 +348,17 @@ def assemble(model, modes, dimension_cap=8192):
             coupling = scipy.sparse.csr_matrix(model.reservoirs[k].coupling)
             term = scipy.sparse.kron(coupling, adag)
             ham = ham + model.lam * g * (term + term.conj().T)
-    ham = np.asarray(ham.todense())
 
     # free part: system energies plus mode energies, all diagonal
     sys_diag = np.real(np.diag(model.system.hamiltonian))
     full_diag = (sys_diag[:, None] + energy.sum(axis=0)[None, :]).ravel()
+    # the interaction has no diagonal entries, so the sparse sum holds the
+    # same values as the dense H below
+    check_hermitian(ham + scipy.sparse.diags(full_diag),
+                    "finite-volume Hamiltonian")
+    ham = np.asarray(ham.todense())
     ham[np.diag_indices(total)] += full_diag
 
-    check_hermitian(ham, "finite-volume Hamiltonian")
     return FiniteVolumeModel(system=model.system,
                              reservoirs=list(model.reservoirs),
                              modes=list(modes), lam=model.lam,
@@ -374,25 +403,67 @@ def _check_rho(rho, d):
     return rho
 
 
+def _q_basis(fv, t):
+    """[(j, k, G_jk)] for j <= k, with
+    G_jk[m', m] = sum_i U[(i,m'),(j,m)] conj U[(i,m'),(k,m)] for U at t,
+    so that the Q matrix of any system state is Re sum_jk rho_jk G_jk.
+
+    A term is nonzero only where (i, m'), (j, m) and (k, m) lie in one
+    block of U, so each block adds its aligned sub-blocks and pairs (j, k)
+    that no block joins are left out: under sigma_x coupling only the G_jj
+    remain.  G_jj is real, and G_kj = conj G_jk is not stored.  Cached per
+    t with the same bound as the propagator.
+    """
+    key = float(t)
+    if key in fv._qbasis:
+        return fv._qbasis[key]
+    blocks = fv.propagator(t)
+    d, M = fv.sys_dim, fv.mode_dim
+    label, pos = _block_layout(blocks, d)
+    rows = [_aligned_modes(label, i, i) for i in range(d)]
+    basis = []
+    for j in range(d):
+        for k in range(j, d):
+            cols = _aligned_modes(label, j, k)
+            shared = [bg for bg in cols if bg[0] == bg[1]]
+            if not shared:
+                continue
+            g = np.zeros((M, M), dtype=float if j == k else complex)
+            for bg in shared:
+                u, cc = blocks[bg[0]][1], cols[bg]
+                for i in range(d):
+                    r = rows[i].get(bg)
+                    if r is None:
+                        continue
+                    x = _sub_block(u, pos[i, r], pos[j, cc])
+                    if j == k:
+                        g[np.ix_(r, cc)] += x.real ** 2 + x.imag ** 2
+                    else:
+                        y = _sub_block(u, pos[i, r], pos[k, cc])
+                        g[np.ix_(r, cc)] += x * y.conj()
+            basis.append((j, k, g))
+    if len(fv._qbasis) >= 4:
+        fv._qbasis.clear()
+    fv._qbasis[key] = basis
+    return basis
+
+
 def _q_matrix(fv, rho, t):
-    """Q[m', m] = sum_i <(i,m')| U (rho (x) |m><m|) U* |(i,m')> for U at t.
+    """Q[m', m] = sum_i <(i,m')| U (rho (x) |m><m|) U* |(i,m')> for U at t,
+    formed from the Q basis of that time as Re sum_jk rho_jk G_jk.
 
     Everything downstream (chi for any kappa, the full TPM distribution)
     reduces to contractions of Q with the Gibbs weights and energy phases.
     """
-    key = (float(t), rho.tobytes())
-    if key in fv._qcache:
-        return fv._qcache[key]
-    d, M = fv.sys_dim, fv.mode_dim
-    U = fv.propagator(t)
-    Ur = U.reshape(fv.dim, d, M)
-    t1 = np.einsum("ij,bim->bjm", rho, Ur)
-    K = np.einsum("bjm,bjm->bm", t1, Ur.conj()).real
-    Q = K.reshape(d, M, M).sum(axis=0)
-    if len(fv._qcache) >= 3:
-        fv._qcache.clear()
-    fv._qcache[key] = Q
-    return Q
+    q = np.zeros((fv.mode_dim, fv.mode_dim))
+    for j, k, g in _q_basis(fv, t):
+        if j == k:
+            q += rho[j, j].real * g
+        else:
+            # rho_jk G_jk + rho_kj conj G_jk, real part
+            c = rho[j, k] + np.conj(rho[k, j])
+            q += c.real * g.real - c.imag * g.imag
+    return q
 
 
 def characteristic_function(fv, rho_system, kappa, t):

@@ -19,6 +19,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .errors import (
     ConfigError,
@@ -69,13 +70,16 @@ class SystemSpec:
 
 
 def check_hermitian(matrix, name="matrix"):
-    """Raise unless matrix is square and Hermitian to HERMITICITY_TOL
-    relative to its largest entry (at least 1)."""
-    m = np.asarray(matrix, dtype=complex)
+    """Raise unless matrix (dense or scipy.sparse) is square and Hermitian
+    to HERMITICITY_TOL relative to its largest entry (at least 1)."""
+    if scipy.sparse.issparse(matrix):
+        m = scipy.sparse.csr_matrix(matrix, dtype=complex)
+    else:
+        m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigError(f"{name} must be square, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    defect = float(np.abs(m - m.conj().T).max())
+    scale = max(1.0, float(abs(m).max()))
+    defect = float(abs(m - m.conj().T).max())
     if defect > HERMITICITY_TOL * scale:
         raise NonHermitianInput(
             f"{name} is not Hermitian: max |M - M^*| = {defect:.3e} "

@@ -25,7 +25,13 @@ from .errors import (
     RecurrenceHorizonExceeded,
     TruncationWarning,
 )
-from .finite_volume import assemble, resonant_modes
+from .finite_volume import (
+    _aligned_modes,
+    _block_layout,
+    _sub_block,
+    assemble,
+    resonant_modes,
+)
 from .lindblad import unvec
 
 N_BLOCK_DEFAULT = 6
@@ -36,28 +42,20 @@ N_MAX_DEFAULT = 5
 # compressed dynamics
 # ---------------------------------------------------------------------------
 
-def _counting_phase(fv, nu):
-    """Full-space diagonal of e^{-(nu | reservoir energies)}."""
-    return np.tile(np.exp(-(nu @ fv.reservoir_energy)), fv.sys_dim)
-
-
-def _sandwich(fv, kappa, t):
-    """B = Gamma(w_{kappa/2}) U_t Gamma(w_{-kappa/2}); the deformed one-sided
-    propagator, so the deformed dynamics is A -> B A B*."""
-    b = _counting_phase(fv, kappa / 2)[:, None] * fv.propagator(t)
-    b *= _counting_phase(fv, -kappa / 2)[None, :]
-    return b
-
-
 def compressed_map(fv, kappa, t):
     """Matrix of S -> Tr_R Z_t(S (x) rho_ref) on the d^2 system space, with
     rho_ref the truncated Gibbs state diag(w) of the reservoir modes.
 
-    Since the embedded state is S (x) diag(w) and Tr_R a partial trace, the
-    map contracts two copies of the one-sided propagator B over the mode
-    indices; grouping (system out, system in) against (mode out, mode in)
-    turns that into a single d^2 x M^2 product, avoiding any full-space
-    matrix chain.
+    The deformed one-sided propagator is B = Gamma(kappa/2) U_t
+    Gamma(-kappa/2) with Gamma(nu) = e^{-(nu | reservoir energies)}, and the
+    map contracts two copies of it over the mode indices:
+    out[a + c d, b + e d] = sum_{m',m} p(m') U[(a,m'),(b,m)] w_m / p(m)
+    conj U[(c,m'),(e,m)] with p = e^{-(kappa | E)} (a, b index the ket side,
+    c, e the bra side).  U is block diagonal over the sparsity components
+    of H, so a term is nonzero only where (a,m') and (b,m) lie in one block
+    beta and (c,m') and (e,m) in one block gamma.  Those m' and m form a
+    product set, and each entry is a weighted sum over the aligned
+    sub-blocks of U_beta and U_gamma; no full-space matrix is formed.
     """
     kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
     if kappa.shape != (fv.n_reservoirs,):
@@ -65,20 +63,28 @@ def compressed_map(fv, kappa, t):
     d = fv.sys_dim
     if t == 0.0:
         return np.eye(d * d, dtype=complex)
-    b = _sandwich(fv, kappa, t)
-    m = fv.mode_dim
-    bv = b.reshape(d, m, d, m)
-    w = fv.gibbs_weights
-    # out[a + c d, b + e d] = sum_{m',m} B[(a,m'),(b,m)] w_m conj(B[(c,m'),(e,m)])
-    # (a, b index the ket side of the sandwich, c, e the bra side); done as
-    # d^4 mode-space inner products so no full-space temporaries are formed.
+    blocks = fv.propagator(t)
+    label, pos = _block_layout(blocks, d)
+    # only p(m') / p(m) enters: centring the exponent keeps each factor
+    # within e^{+-(kappa | E) range / 2}
+    s = kappa @ fv.reservoir_energy
+    p = np.exp(0.5 * (s.max() + s.min()) - s)
+    row_w, col_w = p, fv.gibbs_weights / p
+    groups = {(a, c): _aligned_modes(label, a, c)
+              for a in range(d) for c in range(d)}
     out = np.empty((d * d, d * d), dtype=complex)
-    for a in range(d):
-        for bb in range(d):
-            x = bv[a, :, bb, :] * w[None, :]
-            for c in range(d):
-                for e in range(d):
-                    out[a + c * d, bb + e * d] = np.vdot(bv[c, :, e, :], x)
+    for (a, c), rows in groups.items():
+        for (b, e), cols in groups.items():
+            if (c, a, e, b) < (a, c, b, e):
+                continue        # filled as the conjugate of (c, a; e, b)
+            total = 0.0j
+            for bg in sorted(rows.keys() & cols.keys()):
+                r, cc = rows[bg], cols[bg]
+                x = _sub_block(blocks[bg[0]][1], pos[a, r], pos[b, cc])
+                y = _sub_block(blocks[bg[1]][1], pos[c, r], pos[e, cc])
+                total += row_w[r] @ (x * y.conj()) @ col_w[cc]
+            out[a + c * d, b + e * d] = total
+            out[c + a * d, e + b * d] = np.conj(total)
     return out
 
 

@@ -15,7 +15,7 @@ from scipy.linalg import expm
 from scipy.special import expi
 
 from fcslab.errors import ConfigError, QuadratureNotConverged
-from fcslab.finite_volume import GROUP_TOL, _block_map
+from fcslab.finite_volume import GROUP_TOL, _block_map, _block_propagator
 from fcslab.lindblad import (
     QuadratureParams,
     _gauss_rule,
@@ -300,7 +300,7 @@ def insertion_blocks(fv, kappa, t_phys, n_max):
     def phase(nu):
         return np.tile(np.exp(-(nu @ fv.reservoir_energy)), d)
 
-    b = (phase(kappa / 2)[:, None] * fv.propagator(t_phys)
+    b = (phase(kappa / 2)[:, None] * dense_propagator(fv, t_phys)
          * phase(-kappa / 2)[None, :])
     bh = b.conj().T
     gibbs = np.diag(fv.gibbs_weights)
@@ -523,13 +523,137 @@ def principal_value_reference(density, omega, quad=None):
 
 
 # ---------------------------------------------------------------------------
+# finite volume through one dense propagator
+# ---------------------------------------------------------------------------
+# The library keeps U = exp(-i t H) as its diagonal blocks, one per sparsity
+# component of H, from the eigendecomposition to the outputs.
+# dense_propagator assembles the full matrix from those blocks.  The other
+# three are the library's propagator, _q_matrix and compressed_map from
+# before the blocks stayed separate, kept as they were apart from the Q
+# matrix's cache: they scatter the blocks into one dense U and take every
+# later product on it.  Set dense_route_propagator on FiniteVolumeModel,
+# dense_q_matrix on fcslab.finite_volume and dense_compressed_map on
+# fcslab.transfer to run the finite-volume and transfer routes through
+# this reference.
+
+def dense_propagator(fv, t):
+    """U = exp(-i t H) as one dense matrix, zero off the library's blocks."""
+    u = np.zeros((fv.dim, fv.dim), dtype=complex)
+    for idx, block in fv.propagator(t):
+        u[np.ix_(idx, idx)] = block
+    return u
+
+
+def dense_route_propagator(self, t):
+    """U = exp(-i t H), cached for the handful of times in active use.
+    Each block is V e^{-i E t} V*; for real V that is built from two
+    real products, Re U = (V cos Et) V^T and Im U = -(V sin Et) V^T,
+    in place of one complex product.  The block products run in turn,
+    which keeps the peak memory down."""
+    key = float(t)
+    if key not in self._prop:
+        if len(self._prop) >= 4:
+            self._prop.clear()
+        data = self._eig_data()
+        if len(data) == 1:
+            _, eps, vecs = data[0]
+            u = _block_propagator(eps, vecs, t)
+        else:
+            u = np.zeros((self.dim, self.dim), dtype=complex)
+            for idx, eps, vecs in data:
+                u[np.ix_(idx, idx)] = _block_propagator(eps, vecs, t)
+        self._prop[key] = u
+    return self._prop[key]
+
+
+def dense_q_matrix(fv, rho, t):
+    """Q[m', m] = sum_i <(i,m')| U (rho (x) |m><m|) U* |(i,m')> for U at t.
+
+    Everything downstream (chi for any kappa, the full TPM distribution)
+    reduces to contractions of Q with the Gibbs weights and energy phases.
+    """
+    d, M = fv.sys_dim, fv.mode_dim
+    U = fv.propagator(t)
+    Ur = U.reshape(fv.dim, d, M)
+    t1 = np.einsum("ij,bim->bjm", rho, Ur)
+    K = np.einsum("bjm,bjm->bm", t1, Ur.conj()).real
+    Q = K.reshape(d, M, M).sum(axis=0)
+    return Q
+
+
+def dense_counting_phase(fv, nu):
+    """Full-space diagonal of e^{-(nu | reservoir energies)}."""
+    return np.tile(np.exp(-(nu @ fv.reservoir_energy)), fv.sys_dim)
+
+
+def dense_sandwich(fv, kappa, t):
+    """B = Gamma(w_{kappa/2}) U_t Gamma(w_{-kappa/2}); the deformed one-sided
+    propagator, so the deformed dynamics is A -> B A B*."""
+    b = dense_counting_phase(fv, kappa / 2)[:, None] * fv.propagator(t)
+    b *= dense_counting_phase(fv, -kappa / 2)[None, :]
+    return b
+
+
+def dense_compressed_map(fv, kappa, t):
+    """Matrix of S -> Tr_R Z_t(S (x) rho_ref) on the d^2 system space, with
+    rho_ref the truncated Gibbs state diag(w) of the reservoir modes, as
+    d^4 mode-space inner products of two copies of the dense one-sided
+    propagator B."""
+    kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
+    if kappa.shape != (fv.n_reservoirs,):
+        raise ConfigError("kappa must have one entry per reservoir")
+    d = fv.sys_dim
+    if t == 0.0:
+        return np.eye(d * d, dtype=complex)
+    b = dense_sandwich(fv, kappa, t)
+    m = fv.mode_dim
+    bv = b.reshape(d, m, d, m)
+    w = fv.gibbs_weights
+    # out[a + c d, b + e d] = sum_{m',m} B[(a,m'),(b,m)] w_m conj(B[(c,m'),(e,m)])
+    # (a, b index the ket side of the sandwich, c, e the bra side); done as
+    # d^4 mode-space inner products so no full-space temporaries are formed.
+    out = np.empty((d * d, d * d), dtype=complex)
+    for a in range(d):
+        for bb in range(d):
+            x = bv[a, :, bb, :] * w[None, :]
+            for c in range(d):
+                for e in range(d):
+                    out[a + c * d, bb + e * d] = np.vdot(bv[c, :, e, :], x)
+    return out
+
+
+def extended_compressed_map(fv, kappa, t):
+    """The compressed map of dense_compressed_map from the same propagator
+    blocks, summed in long double with the weight p(m')/p(m) w_m formed as
+    one exponential: only the propagator's own rounding remains."""
+    d, m = fv.sys_dim, fv.mode_dim
+    u = dense_propagator(fv, t).reshape(d, m, d, m)
+    re, im = u.real.astype(np.longdouble), u.imag.astype(np.longdouble)
+    s = np.asarray(kappa, dtype=np.longdouble) @ fv.reservoir_energy
+    weight = np.exp(s[None, :] - s[:, None]) * fv.gibbs_weights[None, :]
+    out = np.empty((d * d, d * d), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                for e in range(d):
+                    xr, xi = re[a, :, b, :], im[a, :, b, :]
+                    yr, yi = re[c, :, e, :], im[c, :, e, :]
+                    out[a + c * d, b + e * d] = complex(
+                        float(np.sum(weight * (xr * yr + xi * yi))),
+                        float(np.sum(weight * (xi * yr - xr * yi))))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # finite volume in complex arithmetic
 # ---------------------------------------------------------------------------
 # FiniteVolumeModel._eig_data and .propagator from before a real H went to
 # the real symmetric solver, kept as they were: every H goes to the complex
-# Hermitian solver.  Set them on FiniteVolumeModel to run the finite-volume
-# and transfer routes through this reference.  A complex H must give the
-# library's bits exactly.
+# Hermitian solver and U is one dense matrix.  Set them on
+# FiniteVolumeModel, together with the dense route's dense_q_matrix and
+# dense_compressed_map, to run the finite-volume and transfer routes through
+# this reference.  A complex H must give the library's eigenpairs and
+# propagator blocks exactly.
 
 def complex_eig_data(self):
     """Per-block (indices, eigvals, eigvecs) over the exact sparsity

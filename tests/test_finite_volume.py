@@ -3,12 +3,14 @@ decay checks, and the weak-coupling comparison harness."""
 
 import dataclasses
 import itertools
+import types
 import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+import scipy.sparse
 
 import fcslab.finite_volume
 from fcslab import (
@@ -30,11 +32,13 @@ from fcslab.errors import (
     DimensionCap,
     EmptyRange,
     NoExponentialDecay,
+    NonHermitianInput,
     OverflowGuard,
     RecurrenceHorizonExceeded,
     TruncationWarning,
 )
 from fcslab.finite_volume import _fourier_integral
+from fcslab.model import check_hermitian
 from oracles import qubit_scgf_physical, qubit_second_order_rate
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -155,6 +159,32 @@ def test_assemble_hermitian_and_reservoir_energies(fv32):
     # big-endian layout: first mode of reservoir 0 has the largest stride
     m = 0b1010  # occupations (1, 0) for hot modes, (1, 0) for cold modes
     assert k_energy[0, m] == pytest.approx(xi_hot[0])
+
+
+def test_assemble_checks_hermiticity_on_the_sparse_hamiltonian(qubit_model):
+    """assemble checks H while it is sparse, diagonal included.  An
+    anti-Hermitian interaction (imaginary lambda) raises the same
+    NonHermitianInput, with the same message, as the check on the dense H,
+    and a sparse matrix gets the dense matrix's verdict."""
+    modes = [resonant_modes(qubit_model.system, r, 2, 0.35, n_max=1)
+             for r in qubit_model.reservoirs]
+    skew = types.SimpleNamespace(system=qubit_model.system,
+                                 reservoirs=qubit_model.reservoirs, lam=0.3j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        fv = assemble(qubit_model.with_lam(0.3), modes)
+        with pytest.raises(NonHermitianInput) as got:
+            assemble(skew, modes)
+    free = np.diag(np.diag(fv.hamiltonian))
+    dense = free + 1j * (fv.hamiltonian - free)
+    with pytest.raises(NonHermitianInput) as want:
+        check_hermitian(dense, "finite-volume Hamiltonian")
+    assert str(got.value) == str(want.value)
+    with pytest.raises(NonHermitianInput) as sparse:
+        check_hermitian(scipy.sparse.csr_matrix(dense),
+                        "finite-volume Hamiltonian")
+    assert str(sparse.value) == str(want.value)
+    check_hermitian(scipy.sparse.csr_matrix(fv.hamiltonian))
 
 
 def test_assemble_rejects_mismatched_labels(qubit_model):
@@ -344,9 +374,10 @@ def _pin_blas(monkeypatch, cores, **env):
 
 
 def test_threaded_blocks_match_serial_bit_for_bit(fv32, monkeypatch):
-    """The parity blocks give the same bits on separate cores as in turn.
-    fv32's 16x16 blocks stay below OpenBLAS's own threading thresholds, so
-    this holds whatever thread count BLAS itself runs."""
+    """The parity blocks give the same bits on separate cores as in turn,
+    for the eigendecompositions and for every propagator block.  fv32's
+    16x16 blocks stay below OpenBLAS's own threading thresholds, so this
+    holds whatever thread count BLAS itself runs."""
     built = []
 
     class CountingPool(fcslab.finite_volume.ThreadPoolExecutor):
@@ -355,7 +386,7 @@ def test_threaded_blocks_match_serial_bit_for_bit(fv32, monkeypatch):
             super().__init__(*args, **kwargs)
 
     def fresh():
-        return dataclasses.replace(fv32, _eig=None, _prop={}, _qcache={})
+        return dataclasses.replace(fv32, _eig=None, _prop={}, _qbasis={})
 
     _pin_blas(monkeypatch, 2, OPENBLAS_NUM_THREADS="2")
     serial = fresh()
@@ -367,16 +398,19 @@ def test_threaded_blocks_match_serial_bit_for_bit(fv32, monkeypatch):
     _pin_blas(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
     threaded = fresh()
     threaded_props = [threaded.propagator(t) for t in (1.5, 4.0)]
-    # one pool for the eigendecompositions, whose first block the calling
-    # thread takes; the propagator products run in turn
-    assert built == [{"max_workers": 1}]
+    # one pool for the eigendecompositions and one for each time's
+    # propagator blocks; the calling thread takes the first block of each
+    assert built == [{"max_workers": 1}] * 3
     for (i0, e0, v0), (i1, e1, v1) in zip(serial._eig_data(),
                                           threaded._eig_data()):
         assert np.array_equal(i0, i1)
         assert np.array_equal(e0, e1)
         assert np.array_equal(v0, v1)
-    for u0, u1 in zip(serial_props, threaded_props):
-        assert np.array_equal(u0, u1)
+    for blocks0, blocks1 in zip(serial_props, threaded_props):
+        assert len(blocks0) == len(blocks1) >= 2
+        for (i0, u0), (i1, u1) in zip(blocks0, blocks1):
+            assert np.array_equal(i0, i1)
+            assert np.array_equal(u0, u1)
 
 
 @pytest.mark.parametrize("cores, env, workers", [

@@ -6,6 +6,8 @@ identities cheaply; the dim-1458 instance is the calibrated weak-coupling
 configuration whose spectral outputs are frozen as regression values.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,9 +32,8 @@ from fcslab.errors import (
     DeformationTooWeak,
     RecurrenceHorizonExceeded,
 )
-from fcslab.finite_volume import assemble, resonant_modes
+from fcslab.finite_volume import FiniteVolumeModel, assemble, resonant_modes
 from fcslab.scgf import ScgfSolver
-from fcslab.transfer import _counting_phase, _sandwich
 
 KAPPA = np.array([0.4, 0.0])
 
@@ -92,13 +93,18 @@ def test_zero_time_is_identity(fv32):
     assert np.array_equal(c, np.eye(4))
 
 
-def test_sandwich_in_place_is_bit_identical(fv32):
-    """Scaling the columns in place forms the same products in the same
-    order as the out-of-place B = Gamma U Gamma."""
-    for kappa, t in ((KAPPA, 0.5 / 0.09), (np.array([-0.3, 1.1]), 2.0)):
-        want = (_counting_phase(fv32, kappa / 2)[:, None] * fv32.propagator(t)
-                * _counting_phase(fv32, -kappa / 2)[None, :])
-        assert np.array_equal(_sandwich(fv32, kappa, t), want)
+def test_compressed_map_matches_dense_sandwich(fv32, monkeypatch):
+    """The block-aligned compressed map equals the d^4 mode-space inner
+    products of the dense one-sided propagator B = Gamma U Gamma to the
+    rounding of the sums: both start from the same propagator blocks."""
+    cases = ((KAPPA, 0.5 / 0.09), (np.array([-0.3, 1.1]), 2.0))
+    got = [compressed_map(fv32, kappa, t) for kappa, t in cases]
+    dense = dataclasses.replace(fv32, _prop={}, _qbasis={})
+    monkeypatch.setattr(FiniteVolumeModel, "propagator",
+                        oracles.dense_route_propagator)
+    for (kappa, t), mine in zip(cases, got):
+        want = oracles.dense_compressed_map(dense, kappa, t)
+        assert np.abs(mine - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_kappa_shape_checked(fv32):

@@ -5,9 +5,9 @@ invocation of `python -m fcslab` against it in a fresh process, plus a
 `trajectories` run split over two workers with a two-word seed, plus an
 `fv-tpm` run on a second qubit config whose reservoirs have a `flat` and a
 `table` density (the README config has only `ohmic` ones), plus an `fv-tpm`
-run on a third qubit config with sigma_y couplings, whose finite-volume
-Hamiltonian is complex (the README config's is real), and prints one line
-`blas-threads subcommand file sha256` per output file.  The
+and a `transfer` run on a third qubit config with sigma_y couplings, whose
+finite-volume Hamiltonian is complex (the README config's is real), and
+prints one line `blas-threads subcommand file sha256` per output file.  The
 manifest's `wall_time_s` is the only value that differs between reruns, so
 it is masked before hashing.  Diffing the output of two checkouts shows whether
 a change moved any output byte:
@@ -84,7 +84,10 @@ SIGMA_Y_CONFIG = CONFIG.replace(
     "coupling: [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]",
     "coupling: [[0.0, 0.0], [0.0, -1.0], [0.0, 1.0], [0.0, 0.0]]")
 
-SIGMA_Y_INVOCATION = ["fv-tpm", "--tmax", "5", "--kappa", "0.25,0.5"]
+SIGMA_Y_INVOCATIONS = [
+    ["fv-tpm", "--tmax", "5", "--kappa", "0.25,0.5"],
+    ["transfer", "--lambda", "0.2", "--tau", "0.2"],
+]
 
 INVOCATIONS = [
     ["validate"],
@@ -122,7 +125,7 @@ def main(argv):
         sigma_y.write_text(SIGMA_Y_CONFIG)
         runs = [(readme, args) for args in INVOCATIONS]
         runs.append((forms, FORMS_INVOCATION))
-        runs.append((sigma_y, SIGMA_Y_INVOCATION))
+        runs.extend((sigma_y, args) for args in SIGMA_Y_INVOCATIONS)
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"),
                        OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
