@@ -33,31 +33,8 @@ from .config import (
     matrix_to_pairs,
 )
 from .errors import ConfigError, FcsError
-from .finite_volume import (
-    assemble,
-    characteristic_function,
-    resonant_modes,
-    tpm_distribution,
-    weak_coupling_compare,
-)
 from .lindblad import build_deformed_lindblad
 from .model import check_fgr_irreducibility
-from .scgf import ScgfSolver, gc_symmetry_defect, rate_function, \
-    transport_moments
-from .trajectories import (
-    build_rate_process,
-    clt_test,
-    empirical_scgf,
-    entropy_asymmetry,
-    mean_current_estimates,
-    sample,
-)
-from .transfer import (
-    build_and_deform,
-    compressed_step,
-    extract_blocks,
-    transfer_instance,
-)
 
 ENV_PREFIX = "FCSLAB_"
 
@@ -243,6 +220,7 @@ def cmd_generator(cfg, args, emit):
 
 
 def cmd_scgf_scan(cfg, args, emit):
+    from .scgf import ScgfSolver
     model = cfg.model
     solver = ScgfSolver(model)
     betas = _betas(model)
@@ -261,6 +239,7 @@ def cmd_scgf_scan(cfg, args, emit):
 
 
 def cmd_gc_check(cfg, args, emit):
+    from .scgf import gc_symmetry_defect
     model = cfg.model
     nus = _nu_grid(args.nu if args.nu is not None else "0:1:0.05")
     scan = gc_symmetry_defect(model, nu_grid=nus)
@@ -273,6 +252,7 @@ def cmd_gc_check(cfg, args, emit):
 
 
 def cmd_moments(cfg, args, emit):
+    from .scgf import transport_moments
     mom = transport_moments(cfg.model)
     emit.json("moments.json", {
         "mean_currents": [float(x) for x in mom.mean_currents],
@@ -285,6 +265,7 @@ def cmd_moments(cfg, args, emit):
 
 
 def cmd_rate_function(cfg, args, emit):
+    from .scgf import rate_function
     model = cfg.model
     active = list(range(model.n_reservoirs))
     if args.active is not None:
@@ -310,6 +291,7 @@ def cmd_rate_function(cfg, args, emit):
 
 
 def cmd_fv_compare(cfg, args, emit):
+    from .finite_volume import weak_coupling_compare
     if cfg.modes is not None:
         raise ConfigError("fv-compare sizes one instance per lambda, so it "
                           "cannot use the config's pinned modes section")
@@ -340,6 +322,7 @@ def cmd_fv_compare(cfg, args, emit):
 def _fv_from_config(cfg, args, t_needed):
     """Pinned modes when the config carries them, else resonant grids sized
     for the requested evolution time."""
+    from .finite_volume import assemble, resonant_modes
     model = cfg.model
     if cfg.modes is not None:
         return assemble(model, cfg.modes), cfg.modes
@@ -353,6 +336,7 @@ def _fv_from_config(cfg, args, t_needed):
 
 
 def cmd_fv_tpm(cfg, args, emit):
+    from .finite_volume import characteristic_function, tpm_distribution
     model = cfg.model
     t = _resolve(args, "tmax", 5.0, float)
     kappa = _single(_points(args.kappa, model.n_reservoirs,
@@ -382,6 +366,10 @@ def cmd_fv_tpm(cfg, args, emit):
 
 
 def cmd_transfer(cfg, args, emit):
+    from .finite_volume import assemble
+    from .scgf import ScgfSolver
+    from .transfer import (build_and_deform, compressed_step, extract_blocks,
+                           transfer_instance)
     model = cfg.model
     lam = _single(_resolve(args, "lam", default=[model.lam],
                            cast=_float_list), "--lambda")
@@ -430,6 +418,10 @@ def cmd_transfer(cfg, args, emit):
 
 
 def cmd_trajectories(cfg, args, emit):
+    from .scgf import ScgfSolver, transport_moments
+    from .trajectories import (build_rate_process, clt_test, empirical_scgf,
+                               entropy_asymmetry, mean_current_estimates,
+                               sample)
     model = cfg.model
     rp = build_rate_process(model.system, model.reservoirs)
     seed = _resolve(args, "seed", 0, int)

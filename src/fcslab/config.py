@@ -19,7 +19,6 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .finite_volume import ReservoirModes
 from .lindblad import QuadratureParams
 from .model import ReservoirSpec, density_from_config, make_model
 
@@ -102,6 +101,7 @@ def _build_reservoir(entry, path):
 
 
 def _build_modes(section, reservoirs, path):
+    from .finite_volume import ReservoirModes
     if not isinstance(section, list) or len(section) != len(reservoirs):
         raise ConfigError(f"{path} must list one entry per reservoir")
     modes = []

@@ -294,13 +294,21 @@ def _mode_occupations(dims):
 def assemble(model, modes, dimension_cap=8192):
     """Build the full Hamiltonian, reservoir energy observables, and the
     truncated Gibbs weights for a model plus one ReservoirModes per
-    reservoir (matched by order)."""
+    reservoir (matched by order).  The free system part is the diagonal of
+    the system Hamiltonian, so an off-diagonal entry raises ConfigError."""
     if len(modes) != len(model.reservoirs):
         raise ConfigError("need exactly one mode set per reservoir")
     for res, mm in zip(model.reservoirs, modes):
         if res.label != mm.label:
             raise ConfigError(
                 f"mode set '{mm.label}' does not match reservoir '{res.label}'")
+    sys_ham = model.system.hamiltonian
+    off_diag = np.argwhere(sys_ham - np.diag(np.diag(sys_ham)) != 0)
+    if len(off_diag):
+        i, j = off_diag[0]
+        raise ConfigError(
+            "finite volume needs the system Hamiltonian diagonal in the "
+            f"input basis; entry ({i}, {j}) is {sys_ham[i, j]:.6g}")
     d = model.system.dim
     dims = [m.n_max + 1 for m in modes for _ in m.frequencies]
     mode_dim = int(np.prod(dims))
@@ -350,7 +358,7 @@ def assemble(model, modes, dimension_cap=8192):
             ham = ham + model.lam * g * (term + term.conj().T)
 
     # free part: system energies plus mode energies, all diagonal
-    sys_diag = np.real(np.diag(model.system.hamiltonian))
+    sys_diag = np.real(np.diag(sys_ham))
     full_diag = (sys_diag[:, None] + energy.sum(axis=0)[None, :]).ravel()
     # the interaction has no diagonal entries, so the sparse sum holds the
     # same values as the dense H below

@@ -16,10 +16,10 @@ G_k(-omega) = e^{-beta_k omega} G_k(omega) holds by construction.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .errors import (
     ConfigError,
@@ -72,8 +72,10 @@ class SystemSpec:
 def check_hermitian(matrix, name="matrix"):
     """Raise unless matrix (dense or scipy.sparse) is square and Hermitian
     to HERMITICITY_TOL relative to its largest entry (at least 1)."""
-    if scipy.sparse.issparse(matrix):
-        m = scipy.sparse.csr_matrix(matrix, dtype=complex)
+    # a sparse matrix means scipy.sparse is loaded; never import it here
+    sparse = sys.modules.get("scipy.sparse")
+    if sparse is not None and sparse.issparse(matrix):
+        m = sparse.csr_matrix(matrix, dtype=complex)
     else:
         m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

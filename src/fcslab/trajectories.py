@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -348,6 +347,7 @@ def sample(rp, horizon, n_samples, seed, jobs=1):
         y, n_jumps = _sample_range(rp, horizon, seed, 0, n_samples, pi,
                                    tables)
     else:
+        from concurrent.futures import ProcessPoolExecutor
         bounds = np.linspace(0, n_samples, jobs + 1).astype(int)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(

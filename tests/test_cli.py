@@ -1,6 +1,9 @@
 """End-to-end command line checks, run in process through cli.main."""
 
+import dataclasses
 import json
+import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +17,7 @@ from fcslab import (
     dump_config,
     instance_to_dict,
     load_config,
+    make_model,
     model_to_dict,
     resonant_modes,
 )
@@ -21,6 +25,7 @@ from fcslab.cli import main
 from fcslab.scgf import ScgfSolver
 
 import oracles
+from conftest import canonical_reservoirs
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +106,79 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.strip() == "False"
 
 
+SRC = str(Path(fcslab.__file__).resolve().parent.parent)
+
+
+def _fresh_last_line(code, *argv):
+    """Last stdout line of code run in a fresh interpreter on this src/."""
+    code = "import sys; sys.path.insert(0, sys.argv[1]); " + code
+    out = subprocess.run([sys.executable, "-c", code, SRC, *argv],
+                         check=True, capture_output=True, text=True).stdout
+    return out.splitlines()[-1]
+
+
+def _loaded_after(code, *argv):
+    return _fresh_last_line(
+        code + "; print(' '.join(sorted(sys.modules)))", *argv).split()
+
+
+def _scipy(modules):
+    return [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+def test_import_and_light_subcommands_load_no_scipy(config_path, tmp_path):
+    """validate and generator run numpy alone, so neither they nor the
+    package import pay SciPy's start-up."""
+    assert _scipy(_loaded_after("import fcslab, fcslab.cli")) == []
+    for sub in ("validate", "generator"):
+        loaded = _loaded_after(
+            "from fcslab.cli import main; assert main([sys.argv[2], "
+            "'--config', sys.argv[3], '--out', sys.argv[4]]) == 0",
+            sub, config_path, str(tmp_path / sub))
+        assert _scipy(loaded) == []
+        assert (tmp_path / sub / "manifest.json").exists()
+
+
+def test_import_scgf_loads_no_other_route():
+    loaded = _loaded_after("import fcslab.scgf")
+    assert "scipy.linalg" in loaded
+    assert [m for m in loaded
+            if m.startswith("scipy.sparse")
+            or m in ("fcslab.finite_volume", "fcslab.transfer",
+                     "fcslab.trajectories")] == []
+
+
 def test_public_api_resolves():
     assert [n for n in fcslab.__all__ if not hasattr(fcslab, n)] == []
+
+
+def test_public_api_under_lazy_loading(monkeypatch):
+    namespace = {}
+    exec("from fcslab import *", namespace)
+    assert [n for n in fcslab.__all__
+            if namespace.get(n) is not getattr(fcslab, n)] == []
+    assert set(fcslab.__all__) <= set(dir(fcslab))
+    # a name is read from its home module on each access, never a stale copy
+    monkeypatch.setattr(fcslab.scgf, "rate_function", "patched")
+    assert fcslab.rate_function == "patched"
+    with pytest.raises(AttributeError):
+        fcslab.no_such_name
+
+
+def test_every_submodule_resolves_lazily():
+    names = sorted(m.name for m in pkgutil.iter_modules(fcslab.__path__)
+                   if m.name != "__main__")
+    assert "finite_volume" in names
+    bad = _fresh_last_line(
+        "import fcslab; print([n for n in sys.argv[2:] "
+        "if n not in dir(fcslab) "
+        "or getattr(fcslab, n) is not sys.modules['fcslab.' + n]])", *names)
+    assert bad == "[]"
+    proc = subprocess.run([sys.executable, "-m", "fcslab", "--version"],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == fcslab.__version__
 
 
 def test_generator_builds_once(config_path, tmp_path, monkeypatch):
@@ -266,6 +342,27 @@ def test_malformed_number_exits_2(qubit_model, tmp_path, capsys, mutate, key):
     payload = json.loads(captured.err)
     assert payload["error"] == "ConfigError"
     assert key in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fv-tpm"],
+    ["transfer", "--lambda", "0.2"],
+    ["fv-compare", "--lambda", "0.2"],
+])
+def test_finite_volume_refuses_non_diagonal_hamiltonian(tmp_path, capsys,
+                                                        argv):
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    reservoirs = [dataclasses.replace(r, coupling=sz)
+                  for r in canonical_reservoirs()]
+    model = make_model([[0.0, 0.5], [0.5, 0.0]], reservoirs, lam=0.1)
+    path = tmp_path / "hopping.yaml"
+    dump_config(model_to_dict(model), path)
+    rc, captured = run(argv + ["--config", str(path),
+                               "--out", str(tmp_path / "out")], capsys)
+    assert rc == 2
+    payload = json.loads(captured.err)
+    assert payload["error"] == "ConfigError"
+    assert "entry (0, 1)" in payload["message"]
 
 
 @pytest.mark.filterwarnings("ignore::fcslab.errors.TruncationWarning")

@@ -187,6 +187,23 @@ def test_assemble_checks_hermiticity_on_the_sparse_hamiltonian(qubit_model):
     check_hermitian(scipy.sparse.csr_matrix(fv.hamiltonian))
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_assemble_refuses_non_diagonal_system_hamiltonian(lam):
+    """The free part is the diagonal of the system Hamiltonian, so a
+    Hamiltonian with an off-diagonal entry is refused rather than losing it
+    (here E = 0.5 sigma_x would give system energies {0, 0})."""
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    reservoirs = [dataclasses.replace(ohmic_reservoir(), coupling=sz)]
+    model = make_model([[0.0, 0.5], [0.5, 0.0]], reservoirs, lam=lam)
+    modes = [resonant_modes(model.system, reservoirs[0], 2, 0.35, n_max=1)]
+    with pytest.raises(ConfigError, match=r"diagonal.*entry \(0, 1\)"):
+        assemble(model, modes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        diagonal = make_model(np.diag([0.5, -0.5]), reservoirs, lam=lam)
+        assert assemble(diagonal, modes).dim == 2 * 4
+
+
 def test_assemble_rejects_mismatched_labels(qubit_model):
     modes = [resonant_modes(qubit_model.system, r, 2, 0.35, n_max=1)
              for r in qubit_model.reservoirs]

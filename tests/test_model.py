@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from fcslab.errors import (
     NonHermitianInput,
     NonPositiveTemperature,
 )
+from fcslab.model import check_hermitian
 
 from conftest import (
     SIGMA_X,
@@ -67,6 +69,30 @@ def test_build_system_bohr_collision():
 def test_build_system_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
         build_system(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _verdict(matrix):
+    try:
+        check_hermitian(matrix, "M")
+    except (ConfigError, NonHermitianInput) as err:
+        return type(err), str(err)
+    return None
+
+
+@pytest.mark.parametrize("dense, expected", [
+    (np.array([[1.0, 2.0 - 1.0e-3j], [2.0 + 1.0e-3j, -4.0]]), None),
+    (np.array([[0.0, 1.0e-14j], [1.0e-14j, 0.0]]), None),
+    (np.array([[3.0j, 2.0], [-2.0, 0.0]]), NonHermitianInput),
+    (np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]]), ConfigError),
+])
+@pytest.mark.parametrize("sparse", [scipy.sparse.csr_matrix,
+                                    scipy.sparse.coo_array])
+def test_check_hermitian_sparse_matches_dense(dense, expected, sparse):
+    """A scipy.sparse input gets its dense form's verdict and message:
+    Hermitian, Hermitian within the tolerance, anti-Hermitian, non-square."""
+    want = _verdict(dense)
+    assert (None if want is None else want[0]) is expected
+    assert _verdict(sparse(dense)) == want
 
 
 def test_projection_reconstruction_random():
