@@ -7,7 +7,8 @@ spectrum, and trajectory sampling.  Every run writes a manifest.json whose
 hash is stamped into each emitted CSV (first line) and JSON ("manifest"
 key), so data files trace back to the exact configuration.  Numeric output
 carries 17 significant digits.  Parameter precedence is config file, then
-FCSLAB_* environment variables, then explicit flags.
+FCSLAB_<FLAG> environment variables, then explicit flags; a flag taken from
+the environment is recorded in the manifest like an explicit one.
 
 Exit codes: 0 success, 2 malformed configuration or flags, 3 a numerical
 assumption failed; for code 3 a diagnostic JSON goes to standard error.
@@ -70,14 +71,19 @@ def _complex_pair(z):
 # parameter resolution: config < environment < flags
 # ---------------------------------------------------------------------------
 
-def _env(name):
-    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
+def _fill_from_environment(args):
+    """Set each flag the command line left out from FCSLAB_<FLAG>, where
+    FLAG is the flag's name in upper case (--lambda is stored as lam)."""
+    for dest, value in vars(args).items():
+        if value is None:
+            flag = "lambda" if dest == "lam" else dest
+            env = os.environ.get(ENV_PREFIX + flag.upper())
+            if env is not None:
+                setattr(args, dest, env)
 
 
 def _resolve(args, name, default=None, cast=str):
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is None:
-        value = _env(name)
+    value = getattr(args, name, None)
     if value is None:
         return default
     try:
@@ -319,29 +325,19 @@ def cmd_fv_compare(cfg, args, emit):
     return f"compared {len(rows)} (lambda, kappa) pairs"
 
 
-def _fv_from_config(cfg, args, t_needed):
-    """Pinned modes when the config carries them, else resonant grids sized
-    for the requested evolution time."""
-    from .finite_volume import assemble, resonant_modes
-    model = cfg.model
-    if cfg.modes is not None:
-        return assemble(model, cfg.modes), cfg.modes
-    margin = _resolve(args, "margin", 0.8, float)
-    spacing = margin * np.pi / t_needed
-    modes = [resonant_modes(model.system, res,
-                            _resolve(args, "modes", 3, int), spacing,
-                            _resolve(args, "nocc", 2, int))
-             for res in model.reservoirs]
-    return assemble(model, modes), modes
-
-
 def cmd_fv_tpm(cfg, args, emit):
-    from .finite_volume import characteristic_function, tpm_distribution
+    from .finite_volume import (assemble, characteristic_function,
+                                resonant_instance, tpm_distribution)
     model = cfg.model
     t = _resolve(args, "tmax", 5.0, float)
     kappa = _single(_points(args.kappa, model.n_reservoirs,
                             [0.25 * _betas(model)]), "--kappa")
-    fv, modes = _fv_from_config(cfg, args, t)
+    if cfg.modes is not None:
+        fv = assemble(model, cfg.modes)
+    else:
+        fv = resonant_instance(model, t, _resolve(args, "modes", 3, int),
+                               _resolve(args, "nocc", 2, int),
+                               _resolve(args, "margin", 0.8, float))
     dist = tpm_distribution(fv, model.rho_system, t)
     chi = characteristic_function(fv, model.rho_system, kappa, t)
     laplace = dist.laplace(kappa)
@@ -360,7 +356,7 @@ def cmd_fv_tpm(cfg, args, emit):
         "chi": _complex_pair(chi),
         "laplace_minus_chi": float(abs(laplace - chi)),
     })
-    emit.config("instance.yaml", instance_to_dict(model, modes))
+    emit.config("instance.yaml", instance_to_dict(model, fv.modes))
     return (f"{len(dist.probabilities)} atoms, total probability "
             f"{_fmt(dist.total())}")
 
@@ -379,7 +375,6 @@ def cmd_transfer(cfg, args, emit):
                             [0.25 * _betas(model)]), "--kappa")
     if cfg.modes is not None:
         fv = assemble(model.with_lam(lam), cfg.modes)
-        modes = cfg.modes
     else:
         n_blocks = _resolve(args, "nblocks", n_max, int)
         fv = transfer_instance(
@@ -387,7 +382,6 @@ def cmd_transfer(cfg, args, emit):
             n_modes=_resolve(args, "modes", 3, int),
             n_occ=_resolve(args, "nocc", 2, int),
             spacing_margin=_resolve(args, "margin", 1.0, float))
-        modes = fv.modes
     blocks = extract_blocks(compressed_step(fv, kappa, tau, lam=lam),
                             n_max=n_max)
     op = build_and_deform(blocks,
@@ -412,7 +406,8 @@ def cmd_transfer(cfg, args, emit):
             float(op.compression_residual(m))
             for m in range(1, min(n_max, 4) + 1)],
     })
-    emit.config("instance.yaml", instance_to_dict(model, modes))
+    emit.config("instance.yaml",
+                instance_to_dict(model.with_lam(lam), fv.modes))
     return (f"f_transfer {_fmt(op.f_transfer)} vs lambda^2 f "
             f"{_fmt(f_fgr)}")
 
@@ -554,6 +549,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    _fill_from_environment(args)
     start = time.monotonic()
     try:
         cfg = load_config(args.config)

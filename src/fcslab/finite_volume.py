@@ -1,14 +1,15 @@
 """Exact counting statistics at finite volume.
 
 Reservoirs are replaced by finitely many bosonic modes on occupation-truncated
-Fock spaces.  The total Hamiltonian, the commuting reservoir energy
-observables, and the truncated Gibbs state are assembled densely; the
-two-point measurement distribution P(y) of transferred energies and its
-Laplace/Fourier transform chi(kappa, t) come from a single eigendecomposition
-per instance.  Weak-coupling diagnostics compare (1/t) log chi at t = c/lambda^2
-against the generator's leading eigenvalue, and reservoir time-correlation
-functions are checked for the exponential decay the perturbative construction
-relies on.
+Fock spaces.  The total Hamiltonian is assembled as a sparse matrix and kept
+sparse up to the diagonalization of its exact sparsity components; the
+commuting reservoir energy observables and the truncated Gibbs state are
+arrays over the mode configurations.  The two-point measurement distribution
+P(y) of transferred energies and its Laplace/Fourier transform chi(kappa, t)
+come from a single eigendecomposition per instance.  Weak-coupling
+diagnostics compare (1/t) log chi at t = c/lambda^2 against the generator's
+leading eigenvalue, and reservoir time-correlation functions are checked for
+the exponential decay the perturbative construction relies on.
 """
 
 from __future__ import annotations
@@ -121,19 +122,20 @@ class FiniteVolumeModel:
 
     Basis layout is system-major: full index b = i * mode_dim + m where m
     runs over occupation configurations of all modes (reservoir 0 modes
-    first, each mode big-endian).  reservoir_energy[k, m] is the energy in
-    reservoir k of configuration m; gibbs_weights is the truncated,
-    renormalized thermal distribution over configurations.  gibbs_tail is
-    the largest single-mode thermal weight beyond its occupation cutoff,
-    max_j e^{-beta xi_j (n_max + 1)}, the quantity TruncationWarning
-    reports.
+    first, each mode big-endian).  hamiltonian is the full H as a
+    scipy.sparse CSR matrix; no dense full-space copy is stored.
+    reservoir_energy[k, m] is the energy in reservoir k of configuration m;
+    gibbs_weights is the truncated, renormalized thermal distribution over
+    configurations.  gibbs_tail is the largest single-mode thermal weight
+    beyond its occupation cutoff, max_j e^{-beta xi_j (n_max + 1)}, the
+    quantity TruncationWarning reports.
     """
 
     system: object
     reservoirs: list
     modes: list
     lam: float
-    hamiltonian: np.ndarray
+    hamiltonian: object                 # scipy.sparse CSR, (dim, dim)
     reservoir_energy: np.ndarray        # (n_reservoirs, mode_dim)
     gibbs_weights: np.ndarray           # (mode_dim,)
     gibbs_tail: float
@@ -166,29 +168,24 @@ class FiniteVolumeModel:
         """Per-block (indices, eigvals, eigvecs) over the exact sparsity
         components of H.  Conserved checkerboard parities (e.g. sigma_x
         coupling to linear mode displacements) split the matrix in two,
-        quartering the diagonalization cost with no approximation; the
-        blocks are diagonalized side by side when BLAS runs one thread.
-        When H has no imaginary part (real system Hamiltonian and real
-        couplings), its real part goes to the real symmetric solver, whose
-        eigenvectors are real; a complex H goes to the complex Hermitian
-        solver."""
+        quartering the diagonalization cost with no approximation; each
+        block is densified on its own, and the blocks are diagonalized side
+        by side when BLAS runs one thread.  When H has no imaginary part
+        (real system Hamiltonian and real couplings), its real part goes to
+        the real symmetric solver, whose eigenvectors are real; a complex H
+        goes to the complex Hermitian solver."""
         if self._eig is None:
             ham = self.hamiltonian
-            if not np.any(ham.imag):
+            if not np.any(ham.data.imag):
                 ham = ham.real
-            pattern = scipy.sparse.csr_matrix(ham != 0.0)
             n_comp, labels = scipy.sparse.csgraph.connected_components(
-                pattern, directed=False)
-            if n_comp <= 1:
-                eps, vecs = np.linalg.eigh(ham)
-                self._eig = [(np.arange(self.dim), eps, vecs)]
-            else:
-                def block(idx):
-                    eps, vecs = np.linalg.eigh(ham[np.ix_(idx, idx)])
-                    return idx, eps, vecs
-                self._eig = _block_map(
-                    block, [np.flatnonzero(labels == c)
-                            for c in range(n_comp)])
+                ham != 0, directed=False)
+
+            def block(idx):
+                eps, vecs = np.linalg.eigh(ham[idx][:, idx].toarray())
+                return idx, eps, vecs
+            self._eig = _block_map(
+                block, [np.flatnonzero(labels == c) for c in range(n_comp)])
         return self._eig
 
     def propagator(self, t):
@@ -292,8 +289,8 @@ def _mode_occupations(dims):
 
 
 def assemble(model, modes, dimension_cap=8192):
-    """Build the full Hamiltonian, reservoir energy observables, and the
-    truncated Gibbs weights for a model plus one ReservoirModes per
+    """Build the full Hamiltonian (sparse CSR), reservoir energy observables,
+    and the truncated Gibbs weights for a model plus one ReservoirModes per
     reservoir (matched by order).  The free system part is the diagonal of
     the system Hamiltonian, so an off-diagonal entry raises ConfigError."""
     if len(modes) != len(model.reservoirs):
@@ -360,18 +357,24 @@ def assemble(model, modes, dimension_cap=8192):
     # free part: system energies plus mode energies, all diagonal
     sys_diag = np.real(np.diag(sys_ham))
     full_diag = (sys_diag[:, None] + energy.sum(axis=0)[None, :]).ravel()
-    # the interaction has no diagonal entries, so the sparse sum holds the
-    # same values as the dense H below
-    check_hermitian(ham + scipy.sparse.diags(full_diag),
-                    "finite-volume Hamiltonian")
-    ham = np.asarray(ham.todense())
-    ham[np.diag_indices(total)] += full_diag
+    ham = (ham + scipy.sparse.diags(full_diag)).tocsr()
+    check_hermitian(ham, "finite-volume Hamiltonian")
 
     return FiniteVolumeModel(system=model.system,
                              reservoirs=list(model.reservoirs),
                              modes=list(modes), lam=model.lam,
                              hamiltonian=ham, reservoir_energy=energy,
                              gibbs_weights=weights, gibbs_tail=float(worst))
+
+
+def resonant_instance(model, t, n_modes, n_max, spacing_margin):
+    """Instance at model.lam on resonant_modes grids of n_modes modes per
+    transition frequency and reservoir, spaced spacing_margin * pi / t, so
+    that t is spacing_margin times each grid's recurrence horizon."""
+    spacing = spacing_margin * np.pi / t
+    modes = [resonant_modes(model.system, res, n_modes, spacing, n_max)
+             for res in model.reservoirs]
+    return assemble(model, modes)
 
 
 # ---------------------------------------------------------------------------
@@ -711,12 +714,10 @@ def weak_coupling_compare(model, kappas, lams, n_modes=3, n_max=2,
                     f_fgr=0.0, deviation=0.0))
             continue
         t = t_factor / lam ** 2
-        spacing = spacing_margin * np.pi / t
-        modes = [resonant_modes(model.system, res, n_modes, spacing, n_max)
-                 for res in model.reservoirs]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            fv = assemble(model.with_lam(lam), modes)
+            fv = resonant_instance(model.with_lam(lam), t, n_modes, n_max,
+                                   spacing_margin)
         horizon = fv.recurrence_horizon()
         # spacing = margin * pi / t puts t right at the horizon for
         # margin = 1; tolerate that boundary to rounding

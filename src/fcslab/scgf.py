@@ -59,11 +59,6 @@ class ScgfResult:
     left_eigvec: np.ndarray
     lam: float
 
-    @property
-    def f_rate(self):
-        """Leading growth rate in generator units (no lambda^2)."""
-        return self.f / self.lam ** 2 if self.lam > 0 else self.eigenvalue.real
-
 
 class ScgfSolver:
     """Caches the kappa-independent generator pieces for fast re-tilting."""

@@ -29,8 +29,7 @@ from .finite_volume import (
     _aligned_modes,
     _block_layout,
     _sub_block,
-    assemble,
-    resonant_modes,
+    resonant_instance,
 )
 from .lindblad import unvec
 
@@ -233,13 +232,10 @@ class TransferOperator:
     blocks: PolymerBlocks
     n_block: int
     delta: float
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
     leading: complex
     gap: float                   # per unit tau, from the modulus ratio
     f_transfer: float
     rate: float
-    p1_component: np.ndarray
     psd_margin: float
 
     def compression_residual(self, m):
@@ -323,11 +319,9 @@ def build_and_deform(blocks, n_block=N_BLOCK_DEFAULT, delta=None):
     rate = float(np.log(mu.real) / blocks.tau)
     lam = blocks.lam
     return TransferOperator(
-        blocks=blocks, n_block=n_block, delta=delta, matrix=mat,
-        eigenvalues=evals, leading=complex(mu),
+        blocks=blocks, n_block=n_block, delta=delta, leading=complex(mu),
         gap=float(-np.log(second / abs(mu)) / blocks.tau),
-        f_transfer=lam * lam * rate, rate=rate,
-        p1_component=g1, psd_margin=psd_margin)
+        f_transfer=lam * lam * rate, rate=rate, psd_margin=psd_margin)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +341,7 @@ def transfer_instance(model, lam, tau=1.0, n_blocks=2, n_modes=3, n_occ=2,
     if tau <= 0 or n_blocks < 1:
         raise ConfigError("need tau > 0 and n_blocks >= 1")
     t_phys = tau / lam ** 2
-    spacing = spacing_margin * np.pi / (n_blocks * t_phys)
-    modes = [resonant_modes(model.system, res, n_modes, spacing, n_occ)
-             for res in model.reservoirs]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        return assemble(model.with_lam(lam), modes)
+        return resonant_instance(model.with_lam(lam), n_blocks * t_phys,
+                                 n_modes, n_occ, spacing_margin)

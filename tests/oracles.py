@@ -648,8 +648,9 @@ def extended_compressed_map(fv, kappa, t):
 # finite volume in complex arithmetic
 # ---------------------------------------------------------------------------
 # FiniteVolumeModel._eig_data and .propagator from before a real H went to
-# the real symmetric solver, kept as they were: every H goes to the complex
-# Hermitian solver and U is one dense matrix.  Set them on
+# the real symmetric solver, kept as they were apart from densifying the
+# sparse H once: every H goes to the complex Hermitian solver and U is one
+# dense matrix.  Set them on
 # FiniteVolumeModel, together with the dense route's dense_q_matrix and
 # dense_compressed_map, to run the finite-volume and transfer routes through
 # this reference.  A complex H must give the library's eigenpairs and
@@ -662,21 +663,46 @@ def complex_eig_data(self):
     quartering the diagonalization cost with no approximation; the
     blocks are diagonalized side by side when BLAS runs one thread."""
     if self._eig is None:
-        pattern = scipy.sparse.csr_matrix(self.hamiltonian != 0.0)
+        ham = self.hamiltonian.toarray()
+        pattern = scipy.sparse.csr_matrix(ham != 0.0)
         n_comp, labels = scipy.sparse.csgraph.connected_components(
             pattern, directed=False)
         if n_comp <= 1:
-            eps, vecs = np.linalg.eigh(self.hamiltonian)
+            eps, vecs = np.linalg.eigh(ham)
             self._eig = [(np.arange(self.dim), eps, vecs)]
         else:
             def block(idx):
                 eps, vecs = np.linalg.eigh(
-                    self.hamiltonian[np.ix_(idx, idx)])
+                    ham[np.ix_(idx, idx)])
                 return idx, eps, vecs
             self._eig = _block_map(
                 block, [np.flatnonzero(labels == c)
                         for c in range(n_comp)])
     return self._eig
+
+
+def dense_eig_data(fv):
+    """FiniteVolumeModel._eig_data from when H was stored dense, kept as it
+    was apart from densifying H at its top and caching nothing: the
+    real/complex decision and the sparsity pattern come from the dense H,
+    and a single component goes to eigh whole.  The library's eigenpairs,
+    from the sparse H one densified block at a time, must equal these bit
+    for bit."""
+    ham = fv.hamiltonian.toarray()
+    if not np.any(ham.imag):
+        ham = ham.real
+    pattern = scipy.sparse.csr_matrix(ham != 0.0)
+    n_comp, labels = scipy.sparse.csgraph.connected_components(
+        pattern, directed=False)
+    if n_comp <= 1:
+        eps, vecs = np.linalg.eigh(ham)
+        return [(np.arange(fv.dim), eps, vecs)]
+
+    def block(idx):
+        eps, vecs = np.linalg.eigh(ham[np.ix_(idx, idx)])
+        return idx, eps, vecs
+    return _block_map(block, [np.flatnonzero(labels == c)
+                              for c in range(n_comp)])
 
 
 def complex_propagator(self, t):

@@ -435,6 +435,7 @@ def test_fv_tpm_and_pinned_rerun(config_path, tmp_path):
     assert rows1 == rows2
 
 
+@pytest.mark.filterwarnings("ignore::fcslab.errors.TruncationWarning")
 def test_transfer_matches_frozen_constants(config_path, tmp_path):
     rc, _ = run(["transfer", "--config", config_path, "--out", str(tmp_path),
                  "--lambda", "0.3", "--tau", "0.5", "--nblocks", "4",
@@ -449,6 +450,19 @@ def test_transfer_matches_frozen_constants(config_path, tmp_path):
                                rtol=1e-9)
     assert max(payload["compression_residuals"]) < 1e-8
     assert payload["psd_margin"] > 0
+    # instance.yaml pins the lambda the instance was built at, not the
+    # config's 0.1, so a rerun against it without --lambda gives the same
+    # numbers
+    instance = load_config(tmp_path / "instance.yaml")
+    assert instance.model.lam == 0.3
+    rerun = tmp_path / "rerun"
+    rc, _ = run(["transfer", "--config", str(tmp_path / "instance.yaml"),
+                 "--out", str(rerun), "--tau", "0.5", "--nmax", "4",
+                 "--kappa", "0.4,0"])
+    assert rc == 0
+    again = json.loads((rerun / "transfer.json").read_text())
+    assert again.pop("manifest") != payload.pop("manifest")
+    assert again == payload
 
 
 def test_fv_compare_table(config_path, tmp_path):
@@ -511,6 +525,44 @@ def test_env_overrides_default_flag_overrides_env(config_path, tmp_path,
     assert rc == 0
     report = json.loads((out2 / "traj_report.json").read_text())
     assert report["seed"] == 11 and report["horizon"] == 5.0
+
+
+def test_env_flags_are_recorded_in_the_manifest(config_path, tmp_path,
+                                                monkeypatch):
+    """FCSLAB_<FLAG> stands for the flag: two seeds give two manifests, and
+    FCSLAB_LAMBDA and FCSLAB_KAPPA give the bytes of --lambda and --kappa."""
+    hashes = []
+    for seed in ("5", "6"):
+        monkeypatch.setenv("FCSLAB_SEED", seed)
+        out = tmp_path / f"seed{seed}"
+        rc, _ = run(["trajectories", "--config", config_path,
+                     "--out", str(out), "--nsamples", "60", "--horizon", "5",
+                     "--kappa", "0,0", "--jobs", "1"])
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"]["seed"] == seed
+        hashes.append(manifest["manifest"])
+    assert hashes[0] != hashes[1]
+    monkeypatch.delenv("FCSLAB_SEED")
+
+    args = ["transfer", "--config", config_path, "--tau", "0.5",
+            "--nblocks", "4", "--nmax", "4", "--modes", "1", "--nocc", "3"]
+    flags = tmp_path / "flags"
+    rc, _ = run([*args, "--out", str(flags), "--lambda", "0.3",
+                 "--kappa", "0.4,0"])
+    assert rc == 0
+    monkeypatch.setenv("FCSLAB_LAMBDA", "0.3")
+    monkeypatch.setenv("FCSLAB_KAPPA", "0.4,0")
+    env = tmp_path / "env"
+    rc, _ = run([*args, "--out", str(env)])
+    assert rc == 0
+    for name in ("transfer.json", "instance.yaml"):
+        assert (env / name).read_bytes() == (flags / name).read_bytes()
+    manifests = [json.loads((out / "manifest.json").read_text())
+                 for out in (env, flags)]
+    for m in manifests:
+        m.pop("wall_time_s")
+    assert manifests[0] == manifests[1]
 
 
 def test_bad_flag_value_exits_2(config_path, tmp_path, capsys):

@@ -119,10 +119,10 @@ def test_assemble_single_mode_matches_hand_matrix():
         [c, 0.0, 0.0, 0.5],
     ])
     assert fv.dim == 4
-    assert np.allclose(fv.hamiltonian, hand, atol=1e-14)
+    assert np.allclose(fv.hamiltonian.toarray(), hand, atol=1e-14)
     # blocks {(exc,1),(gnd,0)} and {(exc,0),(gnd,1)}: the second has
     # eigenvalues 1/2 +- lam g
-    eig = np.sort(np.linalg.eigvalsh(fv.hamiltonian))
+    eig = np.sort(np.linalg.eigvalsh(fv.hamiltonian.toarray()))
     # block {(exc,1),(gnd,0)}: [[3/2, c], [c, -1/2]] -> 1/2 +- sqrt(1 + c^2)
     # block {(exc,0),(gnd,1)}: [[1/2, c], [c, 1/2]]  -> 1/2 +- c
     expected = np.sort([0.5 + np.sqrt(1 + c * c), 0.5 - np.sqrt(1 + c * c),
@@ -144,12 +144,12 @@ def test_assemble_free_spectrum_at_zero_coupling():
         for occ in itertools.product(range(3), repeat=len(xi)):
             sums.append(e + np.dot(occ, xi))
     assert fv.dim == 2 * 3 ** 4
-    assert np.allclose(np.sort(np.linalg.eigvalsh(fv.hamiltonian)),
+    assert np.allclose(np.sort(np.linalg.eigvalsh(fv.hamiltonian.toarray())),
                        np.sort(sums), atol=1e-12)
 
 
 def test_assemble_hermitian_and_reservoir_energies(fv32):
-    h = fv32.hamiltonian
+    h = fv32.hamiltonian.toarray()
     assert np.abs(h - h.conj().T).max() <= 1e-13
     # reservoir energy observables commute with everything diagonal and
     # enumerate occupation configurations mode by mode
@@ -175,8 +175,9 @@ def test_assemble_checks_hermiticity_on_the_sparse_hamiltonian(qubit_model):
         fv = assemble(qubit_model.with_lam(0.3), modes)
         with pytest.raises(NonHermitianInput) as got:
             assemble(skew, modes)
-    free = np.diag(np.diag(fv.hamiltonian))
-    dense = free + 1j * (fv.hamiltonian - free)
+    ham = fv.hamiltonian.toarray()
+    free = np.diag(np.diag(ham))
+    dense = free + 1j * (ham - free)
     with pytest.raises(NonHermitianInput) as want:
         check_hermitian(dense, "finite-volume Hamiltonian")
     assert str(got.value) == str(want.value)
@@ -184,7 +185,7 @@ def test_assemble_checks_hermiticity_on_the_sparse_hamiltonian(qubit_model):
         check_hermitian(scipy.sparse.csr_matrix(dense),
                         "finite-volume Hamiltonian")
     assert str(sparse.value) == str(want.value)
-    check_hermitian(scipy.sparse.csr_matrix(fv.hamiltonian))
+    check_hermitian(fv.hamiltonian)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1])
@@ -290,7 +291,7 @@ def test_chi_matches_dense_reference(fv32, rho_probe):
     # independent route: chi = Tr[(rho (x) gibbs) Gamma(-kappa) U* Gamma(kappa) U]
     # with U from expm rather than the eigendecomposition
     t = 4.0
-    U = scipy.linalg.expm(-1j * t * fv32.hamiltonian)
+    U = scipy.linalg.expm(-1j * t * fv32.hamiltonian.toarray())
     full_E = np.stack([np.tile(fv32.reservoir_energy[k], fv32.sys_dim)
                        for k in range(2)])
     rho_full = np.kron(rho_probe, np.diag(fv32.gibbs_weights))

@@ -209,7 +209,7 @@ def test_real_eigendecomposition_against_mpmath(qubit_model):
     the backward error n eps ||H|| of a stable symmetric solver, which the
     propagator carries as t n eps ||H||."""
     fv = _dim54_instance(qubit_model)
-    assert fv.dim == 54 and not np.any(fv.hamiltonian.imag)
+    assert fv.dim == 54 and not np.any(fv.hamiltonian.toarray().imag)
     data = fv._eig_data()
     assert len(data) == 2
     t = 5.0
@@ -219,7 +219,7 @@ def test_real_eigendecomposition_against_mpmath(qubit_model):
         for (idx, evals, vecs), (u_idx, u) in zip(data, props):
             assert np.array_equal(idx, u_idx)
             assert vecs.dtype == np.float64 and evals.dtype == np.float64
-            block = fv.hamiltonian.real[np.ix_(idx, idx)]
+            block = fv.hamiltonian.toarray().real[np.ix_(idx, idx)]
             n = len(idx)
             scale = n * eps * np.linalg.norm(block, 2)
             mp_evals, mp_vecs = mpmath.eighe(mpmath.matrix(block.tolist()))
@@ -265,7 +265,7 @@ def test_complex_hamiltonian_keeps_complex_route_bit_for_bit(monkeypatch):
         return fv, dist, chi, [fv.propagator(t) for t in (1.5, 4.0)]
 
     fv, dist, chi, props = run()
-    assert fv.dim == 128 and np.any(fv.hamiltonian.imag)
+    assert fv.dim == 128 and np.any(fv.hamiltonian.toarray().imag)
     assert len(fv._eig_data()) == 2
     assert all(np.iscomplexobj(vecs) for _, _, vecs in fv._eig_data())
     lower, upper = _route_outputs(monkeypatch, _complex_route, run)
@@ -356,6 +356,30 @@ def test_block_alignment_within_dense_route_rounding(name, monkeypatch):
     assert np.array_equal(got.pop("atoms"), lower.pop("atoms"))
     upper.pop("atoms")
     _assert_within_rounding(got, lower, upper)
+
+
+@pytest.mark.parametrize("name", ["qubit_1458", "sigma_xz", "sigma_y"])
+def test_sparse_hamiltonian_gives_the_dense_eigenpairs(name, qubit_model):
+    """H stays sparse up to the block eigh, and its eigenpairs equal bit for
+    bit those of the dense-H route (oracles.dense_eig_data): on the dim-1458
+    qubit (two real parity blocks), on sigma_x + sigma_z coupling (one
+    component, which that route diagonalized whole) and on sigma_y coupling
+    (a complex H)."""
+    if name == "qubit_1458":
+        fv, n_comp = _tpm_instance(qubit_model), 2
+    else:
+        make, n_modes, spacing, n_max, n_comp, _ = ALIGNMENT_INSTANCES[name]
+        model = make()
+        fv = _quiet_assemble(model, [
+            resonant_modes(model.system, r, n_modes, spacing, n_max=n_max)
+            for r in model.reservoirs])
+    assert fv.hamiltonian.format == "csr"
+    got, want = fv._eig_data(), oracles.dense_eig_data(fv)
+    assert len(got) == len(want) == n_comp
+    for (i0, e0, v0), (i1, e1, v1) in zip(got, want):
+        assert np.array_equal(i0, i1)
+        assert np.array_equal(e0, e1)
+        assert np.array_equal(v0, v1)
 
 
 def _assert_same_groups(points, scale):
