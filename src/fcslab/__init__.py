@@ -15,7 +15,7 @@ _EXPORTS = {
         "SystemSpec", "SpectralDensity", "ReservoirSpec", "EffectiveDensity",
         "ModelConfig", "build_system", "density_from_config",
         "effective_density", "bose_occupation", "check_fgr_irreducibility",
-        "default_domain_box", "make_model"),
+        "correlation_decay_rate", "default_domain_box", "make_model"),
     "lindblad": (
         "QuadratureParams", "GeneratorParts", "vec", "unvec",
         "principal_value", "compute_upsilon", "build_deformed_lindblad"),
@@ -25,7 +25,7 @@ _EXPORTS = {
     "finite_volume": (
         "ReservoirModes", "FiniteVolumeModel", "TpmDistribution",
         "resonant_modes", "assemble", "characteristic_function",
-        "tpm_distribution", "correlation_function", "weak_coupling_compare"),
+        "tpm_distribution", "weak_coupling_compare"),
     "transfer": (
         "CompressedDynamics", "PolymerBlocks", "TransferOperator",
         "compressed_map", "compressed_step", "extract_blocks",

@@ -35,7 +35,7 @@ from .config import (
 )
 from .errors import ConfigError, FcsError
 from .lindblad import build_deformed_lindblad
-from .model import check_fgr_irreducibility
+from .model import check_fgr_irreducibility, correlation_decay_rate
 
 ENV_PREFIX = "FCSLAB_"
 
@@ -136,6 +136,15 @@ def _nu_grid(text):
     return grid[grid <= stop + 1e-12 * max(1.0, abs(stop))]
 
 
+def _refuse_sizing(args, flags):
+    """A pinned modes section fixes the instance, so a sizing flag (given
+    or taken from the environment) would be ignored: refuse it instead."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise ConfigError(f"--{flag} sizes the instance, but the "
+                              "config's modes section pins it")
+
+
 def _betas(model):
     return np.array([r.beta for r in model.reservoirs])
 
@@ -189,7 +198,8 @@ def cmd_validate(cfg, args, emit):
         "multiplicities": [int(m) for m in model.system.multiplicities],
         "bohr_set": [float(w) for w in model.system.bohr_frequencies],
         "fgr_irreducible": bool(irreducible),
-        "reservoirs": [{"label": r.label, "beta": float(r.beta)}
+        "reservoirs": [{"label": r.label, "beta": float(r.beta),
+                        "correlation_decay_rate": correlation_decay_rate(r)}
                        for r in model.reservoirs],
         "lambda": float(model.lam),
         "variant": model.variant,
@@ -333,6 +343,7 @@ def cmd_fv_tpm(cfg, args, emit):
     kappa = _single(_points(args.kappa, model.n_reservoirs,
                             [0.25 * _betas(model)]), "--kappa")
     if cfg.modes is not None:
+        _refuse_sizing(args, ("modes", "nocc", "margin"))
         fv = assemble(model, cfg.modes)
     else:
         fv = resonant_instance(model, t, _resolve(args, "modes", 3, int),
@@ -374,6 +385,7 @@ def cmd_transfer(cfg, args, emit):
     kappa = _single(_points(args.kappa, model.n_reservoirs,
                             [0.25 * _betas(model)]), "--kappa")
     if cfg.modes is not None:
+        _refuse_sizing(args, ("nblocks", "modes", "nocc", "margin"))
         fv = assemble(model.with_lam(lam), cfg.modes)
     else:
         n_blocks = _resolve(args, "nblocks", n_max, int)

@@ -88,10 +88,6 @@ class OverflowGuard(AssumptionError):
     """Counting weights would overflow double precision."""
 
 
-class NoExponentialDecay(AssumptionError):
-    """Deformed bath correlation function admits no exponential fit."""
-
-
 class RecurrenceHorizonExceeded(AssumptionError):
     """Requested evolution time exceeds the discretization recurrence horizon."""
 

@@ -8,8 +8,7 @@ arrays over the mode configurations.  The two-point measurement distribution
 P(y) of transferred energies and its Laplace/Fourier transform chi(kappa, t)
 come from a single eigendecomposition per instance.  Weak-coupling
 diagnostics compare (1/t) log chi at t = c/lambda^2 against the generator's
-leading eigenvalue, and reservoir time-correlation functions are checked for
-the exponential decay the perturbative construction relies on.
+leading eigenvalue.
 """
 
 from __future__ import annotations
@@ -29,12 +28,11 @@ from .errors import (
     ConfigError,
     DimensionCap,
     EmptyRange,
-    NoExponentialDecay,
     OverflowGuard,
     RecurrenceHorizonExceeded,
     TruncationWarning,
 )
-from .model import check_hermitian, effective_density
+from .model import check_hermitian
 
 GROUP_TOL = 1e-9
 GIBBS_TAIL_WARN = 1e-6
@@ -555,93 +553,6 @@ def _reduce_groups(wq, labels, values, t):
     order = np.lexsort(ys[keep].T[::-1])
     return TpmDistribution(support=ys[keep][order],
                            probabilities=probs[keep][order], t=float(t))
-
-
-# ---------------------------------------------------------------------------
-# reservoir correlation functions
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CorrelationDecay:
-    times: np.ndarray
-    values: np.ndarray           # p_kappa(t) >= 0
-    prefactor: float             # C in the fitted bound C e^{-alpha t}
-    alpha: float
-    residual: float              # rms log-residual over the fit window
-    window: tuple                # (index range used for the fit)
-
-
-def _fourier_integral(dens, kappa, t):
-    """integral of G(xi) e^{-kappa xi} e^{-i t xi} over the support, on
-    16-node Gauss-Legendre panels, at least 64 and 3 per oscillation."""
-    lo, hi = dens.support()
-    breaks = sorted({lo, hi, *[b for b in dens.breakpoints() if lo < b < hi]})
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    total = 0.0 + 0.0j
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        n_osc = abs(t) * (b - a) / (2 * np.pi)
-        # the floor resolves the density itself, the t-term its oscillations
-        panels = max(64, int(np.ceil(3.0 * n_osc)) + 1)
-        edges = np.linspace(a, b, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        xs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        ws = (half[:, None] * weights[None, :]).ravel()
-        vals = dens(xs) * np.exp(-kappa * xs - 1j * t * xs)
-        total += np.sum(vals * ws)
-    return total
-
-
-def correlation_function(reservoir, kappa=0.0, times=None, coupling=None,
-                         residual_tol=0.1):
-    """p_kappa(t) = ||D||^2 |integral G(xi) e^{-kappa xi - i t xi} dxi| with an
-    exponential-envelope fit p <= C e^{-alpha t} on the decay window, which
-    runs from the first time p falls to 1e-1 of its peak to the first time
-    after that it falls to 1e-3.
-
-    Raises NoExponentialDecay when the envelope never enters the window or
-    the log-linear fit leaves a residual above residual_tol, which flags
-    densities whose correlations decay too slowly for the perturbative
-    construction (hard spectral edges give 1/t tails).
-    """
-    dens = effective_density(reservoir)
-    if coupling is None:
-        coupling = reservoir.coupling
-    norm2 = float(np.linalg.norm(np.asarray(coupling), 2) ** 2)
-    if times is None:
-        times = np.linspace(0.0, 8.0 * reservoir.beta, 321)
-    times = np.asarray(times, dtype=float)
-    values = np.array([abs(_fourier_integral(dens, kappa, t)) for t in times])
-    values *= norm2
-
-    peak = values.max()
-    below = np.nonzero(values <= 1e-1 * peak)[0]
-    if len(below) == 0:
-        raise NoExponentialDecay(
-            "correlations never decayed into the fit window",
-            diagnostics={"final_fraction": float(values[-1] / peak)})
-    start = int(below[0])
-    under = np.nonzero(values[start:] <= 1e-3 * peak)[0]
-    stop = int(start + under[0]) + 1 if len(under) else len(values)
-    sel = slice(start, stop)
-    ts = times[sel]
-    logs = np.log(np.maximum(values[sel], 1e-300))
-    if len(ts) < 4:
-        raise NoExponentialDecay("fit window holds fewer than 4 samples")
-    design = np.column_stack([np.ones_like(ts), -ts])
-    coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
-    fit = design @ coef
-    spread = max(logs.max() - logs.min(), 1.0)
-    residual = float(np.sqrt(np.mean((logs - fit) ** 2)) / spread)
-    alpha = float(coef[1])
-    if alpha <= 0 or residual > residual_tol:
-        raise NoExponentialDecay(
-            f"envelope is not exponential (alpha {alpha:.3g}, "
-            f"log-residual {residual:.3g})",
-            diagnostics={"alpha": alpha, "residual": residual})
-    return CorrelationDecay(times=times, values=values,
-                            prefactor=float(np.exp(coef[0])), alpha=alpha,
-                            residual=residual, window=(start, stop))
 
 
 # ---------------------------------------------------------------------------

@@ -98,15 +98,32 @@ class QuadratureParams:
 
 
 def _panel_edges(a, b, breakpoints, max_panels):
-    """Split [a, b] at interior breakpoints, then into roughly equal panels."""
+    """Split [a, b] at interior breakpoints, then into roughly equal panels.
+
+    A gap of delta < (b - a) / 2**11 between two interior split points (a
+    density breakpoint next to omega) puts a pole of the subtracted integrand
+    within delta of the segments on either side of it, which node doubling
+    cannot resolve.  Those segments are graded toward the gap: extra edges
+    at 2 delta, 4 delta, ... from its far end, up to (b - a) / 2**11.
+    """
     if b <= a:
         return []
     inner = sorted(p for p in breakpoints if a < p < b)
     edges = [a] + inner + [b]
+    near = (b - a) / 2 ** 11
+    gaps = np.diff(edges)
+    steps = 2.0 ** np.arange(1, 64)
     out = []
     per = max(2, max_panels // (len(edges) - 1))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        out.append(np.linspace(lo, hi, per + 1))
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        panel = np.linspace(lo, hi, per + 1)
+        # the gap on the left (far end edges[i - 1]), then on the right
+        for j, far, sign in ((i - 1, i - 1, 1.0), (i + 1, i + 2, -1.0)):
+            if 0 < j < len(gaps) - 1 and 0 < gaps[j] < near:
+                dist = gaps[j] * steps
+                grade = edges[far] + sign * dist[dist < near]
+                panel = np.union1d(panel, grade[(grade > lo) & (grade < hi)])
+        out.append(panel)
     return out
 
 
@@ -241,7 +258,7 @@ def principal_value(density, omega, quad=None):
     half = 0.5 * (edge_hi - edge_lo)
     mid = 0.5 * (edge_hi + edge_lo)
 
-    previous = None
+    previous = change = None
     nodes = quad.nodes
     for _ in range(quad.max_refine + 1):
         x0, w0 = _gauss_rule(nodes)
@@ -257,15 +274,16 @@ def principal_value(density, omega, quad=None):
                                                    stop - first]))
         val = totals[0] + totals[1] + totals[2]
         if previous is not None:
-            if abs(val - previous) <= quad.rel_tol * max(1.0, abs(val)):
+            change = abs(val - previous)
+            if change <= quad.rel_tol * max(1.0, abs(val)):
                 return val
         previous = val
         nodes *= 2
     raise QuadratureNotConverged(
         f"principal value at omega={omega:.6g} did not converge "
-        f"(last change {abs(val - previous):.3e})",
+        f"(last change {change:.3e})",
         diagnostics={"omega": omega, "last_value": val,
-                     "last_change": abs(val - previous)})
+                     "last_change": change})
 
 
 # ---------------------------------------------------------------------------

@@ -444,6 +444,48 @@ def effective_density(reservoir):
                             base=dens, zero_frequency=g0)
 
 
+def correlation_decay_rate(reservoir):
+    """Exponential decay rate of the reservoir correlation function, or None.
+
+    The deformed correlation function C_kappa(t) = integral of
+    e^{-kappa omega} G(omega) e^{-i omega t} d omega decays like e^{-alpha t}
+    exactly when e^{-kappa omega} G(omega) extends analytically to the strip
+    |Im omega| < alpha, and alpha is the strip's half-width (Paley-Wiener).
+    e^{-kappa omega} is entire, so the rate does not depend on kappa, and
+    zero_frequency changes G at one point only, so it changes no rate.
+
+    gaussian with an odd integer exponent s: omega^s is odd, so the two
+    branches of G are one formula on the whole line,
+        G(omega) = gamma omega^s e^{-omega^2/cutoff^2} / (1 - e^{-beta omega}).
+    Its poles are the Bose poles at omega = 2 pi i n / beta with n != 0 (the
+    one at n = 0 cancels against omega^s), with nonzero residues, so the
+    rate is 2 pi / beta.
+
+    Every other density has a power-law tail, and None is returned:
+      ohmic     e^{-|omega|/cutoff} kinks at 0, so |C(t)| ~ t^{-2};
+      gaussian  with any other exponent G ~ |omega|^{s-1} at 0, so
+                |C(t)| ~ t^{-s};
+      flat      G jumps at the edges, so |C(t)| ~ t^{-1};
+      table     G kinks at the knots (jumps at its ends), so |C(t)| ~ t^{-2}
+                or slower.
+    J(0+) > 0 (flat from omega_min = 0, a table with a positive value at 0)
+    makes G ~ 1/(beta |omega|), which is not even integrable.
+
+    gamma = 0, height = 0 or an all-zero table make G and C vanish, so C
+    decays at every rate.  Such a reservoir returns 2 pi / beta, the rate of
+    the analytic densities above: it is not reported as a violation, and
+    the result stays a finite number that JSON can carry.
+    """
+    dens = reservoir.density
+    p = dens.params
+    if dens.form == "table":
+        vanishing = not np.any(dens.table_value)
+    else:
+        vanishing = p.get("gamma", p.get("height")) == 0.0
+    analytic = dens.form == "gaussian" and p["exponent"] % 2 == 1
+    return 2.0 * np.pi / reservoir.beta if vanishing or analytic else None
+
+
 # ---------------------------------------------------------------------------
 # irreducibility of the weak-coupling dynamics
 # ---------------------------------------------------------------------------

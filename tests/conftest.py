@@ -55,8 +55,8 @@ def random_hermitian(rng, d, real=False):
     return (a + a.conj().T) / 2
 
 
-def random_density(rng):
-    kind = rng.integers(0, 3)
+def random_density(rng, kind=None):
+    kind = rng.integers(0, 3) if kind is None else kind
     if kind == 0:
         return SpectralDensity(form="ohmic", params={
             "gamma": float(rng.uniform(0.2, 1.0)),
@@ -73,9 +73,11 @@ def random_density(rng):
     return SpectralDensity(form="table", table_omega=w, table_value=v)
 
 
-def random_model(rng, d=None, n_res=None, real=False, lamb_shift=True):
+def random_model(rng, d=None, n_res=None, real=False, lamb_shift=True,
+                 form=None):
     """One random well-separated model; resamples until level spacings and
-    Bohr gaps are comfortable."""
+    Bohr gaps are comfortable.  `form` (0 ohmic, 1 flat, 2 table) fixes the
+    density form of every reservoir instead of drawing it."""
     d = d or int(rng.integers(2, 5))
     n_res = n_res or int(rng.integers(1, 4))
     for _ in range(200):
@@ -95,7 +97,7 @@ def random_model(rng, d=None, n_res=None, real=False, lamb_shift=True):
         coupling = coupling / max(1.0, np.abs(coupling).max())
         reservoirs.append(ReservoirSpec(
             label=f"r{k}", beta=float(rng.uniform(0.5, 3.0)),
-            coupling=coupling, density=random_density(rng)))
+            coupling=coupling, density=random_density(rng, form)))
     return make_model(e, reservoirs, lam=float(rng.uniform(0.05, 0.3)),
                       lamb_shift=lamb_shift)
 

@@ -14,6 +14,7 @@ import pytest
 import fcslab
 import fcslab.cli
 from fcslab import (
+    SpectralDensity,
     dump_config,
     instance_to_dict,
     load_config,
@@ -64,6 +65,32 @@ def test_validate(config_path, tmp_path, capsys):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert payload["manifest"] == manifest["manifest"]
     assert sorted(manifest["outputs"]) == ["validate.json"]
+
+
+def test_validate_reports_correlation_decay_rate(config_path, tmp_path):
+    """The README's ohmic reservoirs have power-law correlation tails (null);
+    a gaussian density with exponent 1 decays at 2 pi / beta."""
+    rc, _ = run(["validate", "--config", config_path,
+                 "--out", str(tmp_path / "ohmic")])
+    assert rc == 0
+    payload = json.loads((tmp_path / "ohmic" / "validate.json").read_text())
+    assert [r["correlation_decay_rate"] for r in payload["reservoirs"]] == \
+        [None, None]
+
+    gaussian = SpectralDensity("gaussian", {"gamma": 0.5, "exponent": 1.0,
+                                            "cutoff": 2.0})
+    model = make_model(np.diag([0.5, -0.5]),
+                       [dataclasses.replace(r, density=gaussian)
+                        for r in canonical_reservoirs()], lam=0.1)
+    path = tmp_path / "gaussian.yaml"
+    dump_config(model_to_dict(model), path)
+    rc, _ = run(["validate", "--config", str(path),
+                 "--out", str(tmp_path / "gaussian")])
+    assert rc == 0
+    payload = json.loads((tmp_path / "gaussian" / "validate.json")
+                         .read_text())
+    assert [r["correlation_decay_rate"] for r in payload["reservoirs"]] == \
+        [2.0 * np.pi / r.beta for r in model.reservoirs]
 
 
 def test_unknown_key_exits_2_with_json(tmp_path, capsys, qubit_model):
@@ -377,6 +404,33 @@ def test_fv_compare_rejects_pinned_modes(qubit_model, tmp_path, capsys):
     payload = json.loads(captured.err)
     assert payload["error"] == "ConfigError"
     assert "fv-compare sizes one instance per lambda" in payload["message"]
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::fcslab.errors.TruncationWarning")
+@pytest.mark.parametrize("sub, flag", [
+    *[("fv-tpm", flag) for flag in ("modes", "nocc", "margin")],
+    *[("transfer", flag) for flag in ("nblocks", "modes", "nocc", "margin")],
+])
+@pytest.mark.parametrize("from_env", [False, True])
+def test_pinned_modes_refuse_sizing_flags(qubit_model, tmp_path, capsys,
+                                          monkeypatch, sub, flag, from_env):
+    """A pinned modes section fixes the instance: a sizing flag, given or
+    taken from FCSLAB_<FLAG>, exits 2 instead of being ignored."""
+    modes = [resonant_modes(qubit_model.system, res, 2, 0.5, n_max=1)
+             for res in qubit_model.reservoirs]
+    pinned = tmp_path / "instance.yaml"
+    dump_config(instance_to_dict(qubit_model, modes), pinned)
+    argv = [sub, "--config", str(pinned), "--out", str(tmp_path / "out")]
+    if from_env:
+        monkeypatch.setenv(f"FCSLAB_{flag.upper()}", "3")
+    else:
+        argv += [f"--{flag}", "3"]
+    rc, captured = run(argv, capsys)
+    assert rc == 2
+    payload = json.loads(captured.err)
+    assert payload["error"] == "ConfigError"
+    assert f"--{flag}" in payload["message"]
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 

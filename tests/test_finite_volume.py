@@ -1,5 +1,5 @@
-"""Finite-volume assembly, two-point measurement statistics, correlation
-decay checks, and the weak-coupling comparison harness."""
+"""Finite-volume assembly, two-point measurement statistics, and the
+weak-coupling comparison harness."""
 
 import dataclasses
 import itertools
@@ -8,7 +8,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.linalg
 import scipy.sparse
 
@@ -20,8 +19,6 @@ from fcslab import (
     ReservoirModes,
     assemble,
     characteristic_function,
-    correlation_function,
-    effective_density,
     make_model,
     resonant_modes,
     tpm_distribution,
@@ -31,13 +28,11 @@ from fcslab.errors import (
     ConfigError,
     DimensionCap,
     EmptyRange,
-    NoExponentialDecay,
     NonHermitianInput,
     OverflowGuard,
     RecurrenceHorizonExceeded,
     TruncationWarning,
 )
-from fcslab.finite_volume import _fourier_integral
 from fcslab.model import check_hermitian
 from oracles import qubit_scgf_physical, qubit_second_order_rate
 
@@ -501,49 +496,6 @@ def test_second_order_oracle_matches_chi(qubit_model):
             assert abs(exact - f2) <= 1e-2 * abs(f2), (t, kap, exact, f2)
     with pytest.raises(ValueError):
         qubit_second_order_rate(modes, np.full((2, 2), 0.5), kappas[0], 5.0)
-
-
-# ---------------------------------------------------------------------------
-# correlation decay
-# ---------------------------------------------------------------------------
-
-def test_correlation_value_at_time_zero():
-    res = ohmic_reservoir(beta=1.3)
-    dens = effective_density(res)
-    lo, hi = dens.support()
-    exact, _ = scipy.integrate.quad(lambda x: dens(x), lo, hi,
-                                    points=[0.0], limit=400)
-    mine = abs(_fourier_integral(dens, 0.0, 0.0))
-    assert mine == pytest.approx(exact, rel=1e-8)
-    # exponential cutoffs leave a kink at zero frequency, so the correlation
-    # tail is a power law; at a 5 percent log-residual it is not exponential
-    with pytest.raises(NoExponentialDecay):
-        correlation_function(res, times=np.linspace(0.0, 40.0, 641),
-                             residual_tol=0.05)
-
-
-def test_correlation_gaussian_cutoff_decays_exponentially():
-    res = ReservoirSpec(label="g", beta=1.0, coupling=SX,
-                        density=SpectralDensity(
-                            "gaussian", {"gamma": 0.5, "exponent": 1.0,
-                                         "cutoff": 2.0}))
-    dec = correlation_function(res)
-    assert dec.alpha > 0
-    assert dec.residual <= 0.05
-    assert dec.prefactor > 0
-    # the fitted envelope actually bounds the tail of the window
-    i0, i1 = dec.window
-    env = dec.prefactor * np.exp(-dec.alpha * dec.times[i0:i1])
-    assert np.all(dec.values[i0:i1] <= 3.0 * env)
-
-
-def test_correlation_flat_density_has_no_exponential_decay():
-    res = ReservoirSpec(label="f", beta=1.0, coupling=SX,
-                        density=SpectralDensity(
-                            "flat", {"height": 0.5, "omega_min": 0.3,
-                                     "omega_max": 2.0}))
-    with pytest.raises(NoExponentialDecay):
-        correlation_function(res, times=np.linspace(0.0, 60.0, 961))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from conftest import (
     canonical_reservoirs,
     model_fleet,
     random_hermitian,
+    random_model,
 )
 import oracles
 
@@ -176,6 +177,70 @@ def test_pv_stalls_like_reference():
         else:
             assert principal_value(g, omega, short) == ref
     assert stalled > 0
+
+
+# breakpoints of a table knot (2.0, a kink) and a flat edge (4.0, a jump)
+KNOT = ReservoirSpec(label="t", beta=1.3, coupling=np.eye(2),
+                     density=SpectralDensity("table",
+                                             table_omega=[0.1, 1.0, 2.0, 4.0],
+                                             table_value=[0.2, 0.5, 0.4, 0.1]))
+EDGE = ReservoirSpec(label="f", beta=1.3, coupling=np.eye(2),
+                     density=SpectralDensity("flat", {"height": 0.3,
+                                                      "omega_min": 0.2,
+                                                      "omega_max": 4.0}))
+
+
+@pytest.mark.parametrize("kind, delta", [
+    *[("knot", d) for d in (1e-9, 1e-7, 1e-6, 1e-5)],
+    *[("edge", d) for d in (1e-6, 1e-5, 3e-5)],
+])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_pv_next_to_a_breakpoint(kind, delta, side):
+    """A breakpoint within delta of omega used to stall node doubling; the
+    value must agree with the adaptive oracle within that oracle's error
+    estimate plus the library's own stopping tolerance."""
+    res, breakpoint = {"knot": (KNOT, 2.0), "edge": (EDGE, 4.0)}[kind]
+    g = effective_density(res)
+    omega = breakpoint + side * delta
+    ours = principal_value(g, omega)
+    lo, hi = g.support()
+    ref, err = oracles.pv_split(g, omega, lo - 2.0, hi + 2.0, g.breakpoints())
+    tol = err + QuadratureParams().rel_tol * max(1.0, abs(ours))
+    assert abs(ours - ref) <= tol, (ours, ref, err)
+
+
+@pytest.mark.parametrize("seed, index", [(6, 625), (17, 656)])
+def test_pv_census_models_answer(seed, index):
+    """Two spectral-fleet models whose Bohr frequencies lie 5e-7 from a table
+    knot and 1.2e-5 from a flat edge.  Their shapes and draws are those of
+    the benchmark's SpectralFleet.SHAPES cycle."""
+    shapes = [(d, n, form) for form in range(3) for n in (2, 3)
+              for d in (2, 3, 4)]
+    d, n, form = shapes[index % len(shapes)]
+    model = random_model(np.random.default_rng([seed, 1, index]), d=d,
+                         n_res=n, form=form)
+    near = 0
+    for g, omega in _bohr_densities(model):
+        ours = principal_value(g, omega)
+        gap = min(abs(b - omega) for b in g.breakpoints())
+        if gap < QuadratureParams().window / 2 ** 10:
+            near += 1
+            lo, hi = g.support()
+            ref, err = oracles.pv_split(g, omega, lo - 2.0, hi + 2.0,
+                                        g.breakpoints())
+            assert abs(ours - ref) <= \
+                err + QuadratureParams().rel_tol * max(1.0, abs(ours))
+    assert near > 0
+    assert abs(ScgfSolver(model).leading(np.zeros(n)).f) <= 1e-12
+
+
+def test_pv_stall_reports_the_last_change():
+    g = effective_density(EDGE)
+    with pytest.raises(QuadratureNotConverged) as err:
+        principal_value(g, 4.0 + 1e-5, QuadratureParams(max_refine=1))
+    change = err.value.diagnostics["last_change"]
+    assert change > 0
+    assert f"last change {change:.3e}" in str(err.value)
 
 
 def _counting(dens, sizes):

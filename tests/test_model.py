@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.sparse
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from fcslab import (
     bose_occupation,
     build_system,
     check_fgr_irreducibility,
+    correlation_decay_rate,
     default_domain_box,
     effective_density,
     make_model,
@@ -357,3 +359,120 @@ def test_kappa_domain_check(qubit_model):
         qubit_model.check_kappa([5.0, 0.0])
     with pytest.raises(ConfigError):
         qubit_model.check_kappa([0.1])
+
+
+# ---------------------------------------------------------------------------
+# decay of the reservoir correlation function
+# ---------------------------------------------------------------------------
+
+def _reservoir(form, beta=1.0, **params):
+    if form == "table":
+        return ReservoirSpec(label="r", beta=beta, coupling=SIGMA_X,
+                             density=SpectralDensity(
+                                 "table", table_omega=[0.1, 1.0, 2.0, 4.0],
+                                 table_value=params.get("value",
+                                                        [0.2, 0.5, 0.4, 0.1])))
+    return ReservoirSpec(label="r", beta=beta, coupling=SIGMA_X,
+                         density=SpectralDensity(form, params))
+
+
+@pytest.mark.parametrize("form, params, exponential", [
+    ("gaussian", {"exponent": 1.0, "cutoff": 2.0}, True),
+    ("gaussian", {"exponent": 3.0, "cutoff": 2.0}, True),
+    ("gaussian", {"exponent": 2.0, "cutoff": 2.0}, False),
+    ("gaussian", {"exponent": 1.5, "cutoff": 2.0}, False),
+    ("ohmic", {"exponent": 1.0, "cutoff": 5.0}, False),
+    ("ohmic", {"exponent": 2.0, "cutoff": 5.0}, False),
+    ("flat", {"omega_min": 0.3, "omega_max": 2.0}, False),
+    ("table", {}, False),
+    # C vanishes identically: every rate bounds it
+    ("gaussian", {"gamma": 0.0, "exponent": 2.0}, True),
+    ("ohmic", {"gamma": 0.0}, True),
+    ("flat", {"height": 0.0}, True),
+    ("table", {"value": [0.0, 0.0, 0.0, 0.0]}, True),
+])
+def test_correlation_decay_rate_closed_form(form, params, exponential):
+    for beta in (0.5, 2.0):
+        rate = correlation_decay_rate(_reservoir(form, beta, **params))
+        assert rate == (2.0 * np.pi / beta if exponential else None)
+    # zero_frequency changes G at one point only
+    res = dataclasses.replace(_reservoir(form, **params), zero_frequency=0.7)
+    assert correlation_decay_rate(res) == (2.0 * np.pi if exponential
+                                           else None)
+
+
+def test_fourier_oracle_at_time_zero_is_the_integral():
+    dens = effective_density(canonical_reservoirs()[0])
+    lo, hi = dens.support()
+    exact, _ = scipy.integrate.quad(lambda x: dens(x), lo, hi, points=[0.0],
+                                    limit=400)
+    assert abs(oracles._fourier_integral(dens, 0.0, 0.0)) == \
+        pytest.approx(exact, rel=1e-8)
+
+
+@pytest.mark.parametrize("beta, cutoff, s", [(2.0, 2.0, 1), (1.0, 5.0, 1),
+                                             (2.0, 2.0, 3)])
+@pytest.mark.parametrize("kappa_share", [0.0, 0.5])
+def test_gaussian_correlation_decays_at_the_closed_form_rate(beta, cutoff, s,
+                                                             kappa_share):
+    """The log-slope of |C_kappa| on [2 beta, 4 beta] against 2 pi / beta.
+
+    Bound: for t > 0 shift the contour of C(t) = int G(w) e^{-kappa w - i w t}
+    dw down to Im w = -y, y = 3 pi / beta, between the first Bose pole at
+    -2 pi i / beta and the next at -4 pi i / beta.  The pole gives
+    A e^{-2 pi t / beta} with A = 2 pi gamma (2 pi / beta)^s
+    e^{(2 pi / (beta cutoff))^2} / beta (|e^{-kappa w}| = 1 there).  On the
+    shifted line |1 - e^{-beta w}| = 1 + e^{-beta x} >= 1, so the rest is at
+    most M e^{-y t} with M = gamma e^{y^2/cutoff^2}
+    int (x^2 + y^2)^{s/2} e^{-x^2/cutoff^2 - kappa x} dx.  With
+    eps(t) = (M/A) e^{-pi t / beta}, |log|C(t)| - log A + 2 pi t / beta| is
+    at most -log(1 - eps(t)), which bounds the slope's error.
+    """
+    gamma, kappa = 0.5, kappa_share * beta
+    res = _reservoir("gaussian", beta, gamma=gamma, exponent=float(s),
+                     cutoff=cutoff)
+    rate = correlation_decay_rate(res)
+    assert rate == 2.0 * np.pi / beta
+    dens = effective_density(res)
+    t1, t2 = 2.0 * beta, 4.0 * beta
+    c1, c2 = (abs(oracles._fourier_integral(dens, kappa, t)) for t in (t1, t2))
+    slope = np.log(c1 / c2) / (t2 - t1)
+
+    y = 3.0 * np.pi / beta
+    big_a = (2.0 * np.pi * gamma * rate ** s
+             * np.exp((rate / cutoff) ** 2) / beta)
+    big_m = gamma * np.exp((y / cutoff) ** 2) * scipy.integrate.quad(
+        lambda x: (x * x + y * y) ** (s / 2) * np.exp(-(x / cutoff) ** 2
+                                                      - kappa * x),
+        -np.inf, np.inf)[0]
+    eps = [big_m / big_a * np.exp(-np.pi * t / beta) for t in (t1, t2)]
+    assert max(eps) < 1.0
+    bound = -(np.log1p(-eps[0]) + np.log1p(-eps[1])) / (t2 - t1)
+    assert abs(slope - rate) <= bound, (slope, rate, bound)
+
+
+def test_power_law_correlation_tails():
+    """The densities without a rate decay like a power of t: ohmic like
+    t^-2 (a kink at 0), flat like t^-1 (jumps at its edges)."""
+    for s in (1.0, 2.0):
+        res = _reservoir("ohmic", gamma=0.5, exponent=s, cutoff=5.0)
+        assert correlation_decay_rate(res) is None
+        dens = effective_density(res)
+        c1, c2 = (abs(oracles._fourier_integral(dens, 0.0, t))
+                  for t in (10.0, 20.0))
+        assert np.log(c2 / c1) / np.log(2.0) == pytest.approx(-2.0, abs=0.01)
+
+    res = _reservoir("flat", height=0.5, omega_min=1.0, omega_max=2.0)
+    assert correlation_decay_rate(res) is None
+    dens = effective_density(res)
+    # |C| oscillates with period 2 pi (edges at +-1 and +-2), so compare its
+    # maxima over one period, sampled at the same phases
+    phases = np.linspace(0.0, 2.0 * np.pi, 33)
+
+    def envelope(start):
+        return max(abs(oracles._fourier_integral(dens, 0.0, start + p))
+                   for p in phases)
+
+    t1, t2 = 8.0 * np.pi, 32.0 * np.pi
+    slope = np.log(envelope(t2) / envelope(t1)) / np.log(t2 / t1)
+    assert slope == pytest.approx(-1.0, abs=0.05)
