@@ -45,7 +45,8 @@ def _fmt(x):
 
 
 def _json_value(obj):
-    """Canonical JSON with %.17g floats; deterministic key order."""
+    """Canonical JSON with %.17g floats, null for a non-finite one (JSON has
+    no inf or nan); deterministic key order."""
     if isinstance(obj, dict):
         items = ",".join(f"{json.dumps(k)}:{_json_value(obj[k])}"
                          for k in sorted(obj))
@@ -57,7 +58,7 @@ def _json_value(obj):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
+        return _fmt(obj) if np.isfinite(obj) else "null"
     if obj is None:
         return "null"
     return json.dumps(str(obj))
@@ -202,7 +203,6 @@ def cmd_validate(cfg, args, emit):
                         "correlation_decay_rate": correlation_decay_rate(r)}
                        for r in model.reservoirs],
         "lambda": float(model.lam),
-        "variant": model.variant,
         "pinned_modes": cfg.modes is not None,
     }
     emit.json("validate.json", payload)

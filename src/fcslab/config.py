@@ -24,8 +24,12 @@ from .model import ReservoirSpec, density_from_config, make_model
 
 _SYSTEM_KEYS = {"hamiltonian", "degeneracy_tol"}
 _RESERVOIR_KEYS = {"label", "beta", "coupling", "density", "zero_frequency"}
-_RUN_KEYS = {"lambda", "rho_system", "domain_box", "variant", "lamb_shift",
-             "quadrature"}
+# run keys that earlier versions wrote into every instance file, each with
+# the one value the library computes: the secular generator with its level
+# shift
+_LEGACY_RUN = {"variant": "secular", "lamb_shift": True}
+_RUN_KEYS = {"lambda", "rho_system", "domain_box", "quadrature",
+             *_LEGACY_RUN}
 _MODES_KEYS = {"label", "frequencies", "couplings", "n_occ"}
 
 
@@ -159,12 +163,12 @@ def build_from_dict(data, config_hash=""):
             kwargs["domain_box"] = np.asarray(run["domain_box"], dtype=float)
         except (TypeError, ValueError):
             raise ConfigError("run.domain_box must hold numbers") from None
-    if "variant" in run:
-        kwargs["variant"] = str(run["variant"])
-    if "lamb_shift" in run:
-        if not isinstance(run["lamb_shift"], bool):
-            raise ConfigError("run.lamb_shift must be true or false")
-        kwargs["lamb_shift"] = run["lamb_shift"]
+    for key, value in _LEGACY_RUN.items():
+        # type() keeps YAML's true apart from 1 and "true"
+        if key in run and (type(run[key]) is not type(value)
+                           or run[key] != value):
+            raise ConfigError(f"run.{key} can only be {json.dumps(value)}, "
+                              f"got {run[key]!r}")
     if "quadrature" in run:
         quadrature = _require_mapping(run["quadrature"], "run.quadrature")
         try:
@@ -213,8 +217,6 @@ def model_to_dict(model):
             "lambda": float(model.lam),
             "rho_system": matrix_to_pairs(model.rho_system),
             "domain_box": [[float(a), float(b)] for a, b in model.domain_box],
-            "variant": model.variant,
-            "lamb_shift": bool(model.lamb_shift),
         },
     }
     if model.quadrature:

@@ -81,7 +81,7 @@ class EmptyRange(ConfigError):
 
 
 class DimensionCap(ConfigError):
-    """Requested finite-volume Hilbert space exceeds the configured cap."""
+    """Requested finite-volume Hilbert space exceeds the cap."""
 
 
 class OverflowGuard(AssumptionError):

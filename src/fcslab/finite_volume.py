@@ -35,6 +35,7 @@ from .errors import (
 from .model import check_hermitian
 
 GROUP_TOL = 1e-9
+DIMENSION_CAP = 8192
 GIBBS_TAIL_WARN = 1e-6
 
 
@@ -286,7 +287,7 @@ def _mode_occupations(dims):
     return occ
 
 
-def assemble(model, modes, dimension_cap=8192):
+def assemble(model, modes):
     """Build the full Hamiltonian (sparse CSR), reservoir energy observables,
     and the truncated Gibbs weights for a model plus one ReservoirModes per
     reservoir (matched by order).  The free system part is the diagonal of
@@ -308,9 +309,9 @@ def assemble(model, modes, dimension_cap=8192):
     dims = [m.n_max + 1 for m in modes for _ in m.frequencies]
     mode_dim = int(np.prod(dims))
     total = d * mode_dim
-    if total > dimension_cap:
+    if total > DIMENSION_CAP:
         raise DimensionCap(
-            f"finite-volume dimension {total} exceeds the cap {dimension_cap}")
+            f"finite-volume dimension {total} exceeds the cap {DIMENSION_CAP}")
 
     flat = [(k, xi, g)
             for k, m in enumerate(modes)

@@ -13,10 +13,9 @@ with level-shift operator
     Upsilon = sum_k sum_{(e,e')} 1_{E_e} D_k^* 1_{E_e'} D_k 1_{E_e}
               (-i pi G_k(omega) - H_k(omega)),     omega = e - e',
 
-and H_k(omega) the principal-value transform of G_k at omega.  The secular
-variant groups transitions by frequency, A_k(omega) = sum_{e-e'=omega}
-1_{E_e'} D_k 1_{E_e}; the diagonal variant keeps one term per level pair.
-Both coincide when all Bohr frequencies are simple.
+and H_k(omega) the principal-value transform of G_k at omega.  Transitions
+are grouped by frequency (the secular form), A_k(omega) = sum_{e-e'=omega}
+1_{E_e'} D_k 1_{E_e}.
 
 At kappa = 0 the Heisenberg form annihilates the identity; its Hilbert-
 Schmidt adjoint (the state-picture generator, `GeneratorParts.dual`) is the
@@ -372,12 +371,11 @@ def _frequency_channels(system, coupling, dens):
             yield float(energies[e] - energies[ep]), g, e, ep, a
 
 
-def compute_upsilon(system, reservoirs, quad=None, lamb_shift=True):
+def compute_upsilon(system, reservoirs, quad=None):
     """Level-shift operator Upsilon.
 
     Upsilon = sum over channels of M_{k,e,e'} (-i pi G_k(omega) - H_k(omega))
-    with M = 1_{E_e} D^* 1_{E_e'} D 1_{E_e}.  With lamb_shift=False the
-    H values are forced to 0 (dissipative part only).
+    with M = 1_{E_e} D^* 1_{E_e'} D 1_{E_e}.
     """
     d = system.dim
     upsilon = np.zeros((d, d), dtype=complex)
@@ -388,8 +386,7 @@ def compute_upsilon(system, reservoirs, quad=None, lamb_shift=True):
         for omega, g, e, ep, a in _frequency_channels(system, coupling,
                                                       dens):
             if omega not in h_cache:
-                h_cache[omega] = (principal_value(dens, omega, quad)
-                                  if lamb_shift else 0.0)
+                h_cache[omega] = principal_value(dens, omega, quad)
             m = a.conj().T @ a          # 1_{E_e} D^* 1_{E_e'} D 1_{E_e}
             upsilon += m * (-1j * np.pi * g - h_cache[omega])
     return upsilon
@@ -399,7 +396,8 @@ def build_deformed_lindblad(model, kappa):
     """Assemble the deformed weak-coupling generator for a validated model.
 
     Returns GeneratorParts.  kappa is checked against the model's domain box;
-    the variant and the quadrature are the model's own.
+    the quadrature is the model's own.  Each omega takes its rate from its
+    first channel, and its jump operator sums the channels in order.
     """
     kappa = model.check_kappa(kappa)
     quad = (QuadratureParams.from_mapping(model.quadrature)
@@ -407,8 +405,7 @@ def build_deformed_lindblad(model, kappa):
     system = model.system
     d = system.dim
 
-    upsilon = compute_upsilon(system, model.reservoirs, quad=quad,
-                              lamb_shift=model.lamb_shift)
+    upsilon = compute_upsilon(system, model.reservoirs, quad=quad)
     eye = np.eye(d)
     drift = -1j * (np.kron(eye, upsilon) - np.kron(upsilon.conj(), eye))
 
@@ -419,19 +416,13 @@ def build_deformed_lindblad(model, kappa):
         per_freq = {}                   # omega -> [summed jump op, rate]
         for omega, g, e, ep, a in _frequency_channels(system, coupling,
                                                       dens):
-            rate = 2.0 * np.pi * g
-            if model.variant == "secular":
-                if omega not in per_freq:
-                    per_freq[omega] = [np.zeros((d, d), dtype=complex), rate]
-                per_freq[omega][0] += a
-            else:
-                jump_terms.append((k, omega,
-                                   rate * np.kron(a.T, a.conj().T)))
-        if model.variant == "secular":
-            for omega, (a_total, rate) in per_freq.items():
-                jump_terms.append((k, omega,
-                                   rate * np.kron(a_total.T, a_total.conj().T)))
+            if omega not in per_freq:
+                per_freq[omega] = [np.zeros((d, d), dtype=complex),
+                                   2.0 * np.pi * g]
+            per_freq[omega][0] += a
+        for omega, (a_total, rate) in per_freq.items():
+            jump_terms.append((k, omega,
+                               rate * np.kron(a_total.T, a_total.conj().T)))
 
     return GeneratorParts(dim=d, lam=model.lam, kappa=kappa, upsilon=upsilon,
                           drift_matrix=drift, jump_terms=jump_terms)
-

@@ -342,6 +342,8 @@ class ReservoirSpec:
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ConfigError(
                 f"reservoir '{self.label}': coupling must be square, got {c.shape}")
+        # the generator pairs A(-omega) with A(omega)^*, which needs D = D^*
+        check_hermitian(c, name=f"reservoir '{self.label}' coupling")
         if not np.isfinite(self.zero_frequency) or self.zero_frequency < 0:
             raise ConfigError(
                 "zero_frequency value of G must be finite and >= 0")
@@ -370,7 +372,8 @@ class EffectiveDensity:
 
     Callable and vectorized.  `fn` implements the two-branch formula; tests
     may substitute a custom fn (e.g. with detailed balance deliberately
-    broken) while keeping the same interface.
+    broken) while keeping the same interface.  support() and breakpoints()
+    read `base`; a subclass built without one overrides both.
     """
 
     label: str
@@ -391,23 +394,15 @@ class EffectiveDensity:
 
     def support(self):
         """Interval [lo, hi] outside which G is negligible (or exactly 0)."""
-        if self.base is not None:
-            hi = self.base.support_max()
-            return (-hi, hi)
-        # unknown support: expand by doubling until G is tiny
-        hi = 1.0
-        peak = max(float(np.max(self(np.linspace(-8, 8, 257)))), 1e-300)
-        while hi < 1e6 and max(self(hi), self(-hi)) > 1e-19 * peak:
-            hi *= 1.5
+        hi = self.base.support_max()
         return (-hi, hi)
 
     def breakpoints(self):
         """Non-smooth points of G on the real line (always includes 0)."""
         pts = {0.0}
-        if self.base is not None:
-            for b in self.base.breakpoints():
-                pts.add(b)
-                pts.add(-b)
+        for b in self.base.breakpoints():
+            pts.add(b)
+            pts.add(-b)
         return sorted(pts)
 
 
@@ -590,8 +585,6 @@ class ModelConfig:
     lam: float
     rho_system: np.ndarray
     domain_box: np.ndarray
-    variant: str = "secular"
-    lamb_shift: bool = True
     quadrature: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -603,8 +596,6 @@ class ModelConfig:
                     f"system is {d}x{d}")
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError("coupling strength lambda must be >= 0")
-        if self.variant not in ("secular", "diagonal"):
-            raise ConfigError("variant must be 'secular' or 'diagonal'")
         from .lindblad import QuadratureParams
         QuadratureParams.from_mapping(self.quadrature)
         rho = require_hermitian(self.rho_system, name="rho_system")
@@ -644,8 +635,7 @@ class ModelConfig:
 
 
 def make_model(hamiltonian, reservoirs, lam, rho_system=None, domain_box=None,
-               variant="secular", lamb_shift=True, degeneracy_tol=None,
-               quadrature=None):
+               degeneracy_tol=None, quadrature=None):
     """Convenience constructor validating everything in one go."""
     system = build_system(hamiltonian, degeneracy_tol=degeneracy_tol)
     reservoirs = tuple(reservoirs)
@@ -655,5 +645,4 @@ def make_model(hamiltonian, reservoirs, lam, rho_system=None, domain_box=None,
         domain_box = default_domain_box(reservoirs)
     return ModelConfig(system=system, reservoirs=reservoirs, lam=float(lam),
                        rho_system=rho_system, domain_box=domain_box,
-                       variant=variant, lamb_shift=bool(lamb_shift),
                        quadrature=dict(quadrature or {}))

@@ -73,8 +73,7 @@ def random_density(rng, kind=None):
     return SpectralDensity(form="table", table_omega=w, table_value=v)
 
 
-def random_model(rng, d=None, n_res=None, real=False, lamb_shift=True,
-                 form=None):
+def random_model(rng, d=None, n_res=None, real=False, form=None):
     """One random well-separated model; resamples until level spacings and
     Bohr gaps are comfortable.  `form` (0 ohmic, 1 flat, 2 table) fixes the
     density form of every reservoir instead of drawing it."""
@@ -98,8 +97,7 @@ def random_model(rng, d=None, n_res=None, real=False, lamb_shift=True,
         reservoirs.append(ReservoirSpec(
             label=f"r{k}", beta=float(rng.uniform(0.5, 3.0)),
             coupling=coupling, density=random_density(rng, form)))
-    return make_model(e, reservoirs, lam=float(rng.uniform(0.05, 0.3)),
-                      lamb_shift=lamb_shift)
+    return make_model(e, reservoirs, lam=float(rng.uniform(0.05, 0.3)))
 
 
 def model_fleet(n, seed, **kw):

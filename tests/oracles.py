@@ -18,10 +18,12 @@ from fcslab.errors import ConfigError, QuadratureNotConverged
 from fcslab.finite_volume import GROUP_TOL, _block_map, _block_propagator
 from fcslab.lindblad import (
     QuadratureParams,
+    _frequency_channels,
     _gauss_rule,
     _graded_edges,
     _panel_edges,
 )
+from fcslab.model import effective_density
 
 # ---------------------------------------------------------------------------
 # reference qubit: E = diag(1/2, -1/2), D1 = D2 = sigma_x,
@@ -101,6 +103,43 @@ def semigroup(mat, t, s):
     s = np.asarray(s, dtype=complex)
     d = s.shape[0]
     return (expm(t * mat) @ s.ravel(order="F")).reshape(d, d, order="F")
+
+
+def level_pair_jump_terms(model):
+    """Jump terms with one entry per level pair instead of one per Bohr
+    frequency: (k, omega, 2 pi G_k(omega) kron(a^T, a^*)) with
+    a = 1_{E_e'} D_k 1_{E_e} for every channel of reservoir k.  This is the
+    "diagonal" generator that fcslab.lindblad once built as a variant, kept
+    verbatim.  On the Bohr-frequency-0 block the cross terms between level
+    pairs of one frequency vanish, so there it equals the secular
+    generator."""
+    system = model.system
+    jump_terms = []
+    for k, res in enumerate(model.reservoirs):
+        dens = effective_density(res)
+        coupling = np.asarray(res.coupling, dtype=complex)
+        for omega, g, e, ep, a in _frequency_channels(system, coupling,
+                                                      dens):
+            rate = 2.0 * np.pi * g
+            jump_terms.append((k, omega,
+                               rate * np.kron(a.T, a.conj().T)))
+    return jump_terms
+
+
+def bohr_zero_block(matrix, system):
+    """Block of a superoperator matrix (column-major vec) on the Bohr-
+    frequency-0 sector span{|i><j| : E_i = E_j}, written in the energy
+    eigenbasis of system."""
+    v = system.eigenbasis
+    d = v.shape[0]
+    level_energy = np.real(np.diag(v.conj().T @ system.hamiltonian @ v))
+    level = np.abs(level_energy[:, None]
+                   - system.energies[None, :]).argmin(axis=1)
+    u = np.kron(v.conj(), v)       # vec(V S V^*) = u vec(S)
+    rotated = u.conj().T @ matrix @ u
+    idx = [i + d * j for j in range(d) for i in range(d)
+           if level[i] == level[j]]
+    return rotated[np.ix_(idx, idx)]
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,23 @@ def test_unknown_key_exits_2_with_json(tmp_path, capsys, qubit_model):
     assert "run.warp" in payload["message"]
 
 
+def test_non_hermitian_coupling_exits_2(tmp_path, capsys, qubit_model):
+    """A coupling D != D^* would give all-zero currents from moments while
+    fv-tpm couples D a^dagger + D^* a: the config is refused."""
+    tree = model_to_dict(qubit_model)
+    for entry in tree["reservoirs"]:
+        entry["coupling"] = [[0.0, 0.0], [2.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    bad = tmp_path / "bad.yaml"
+    dump_config(tree, bad)
+    for sub in ("validate", "moments", "fv-tpm"):
+        rc, captured = run([sub, "--config", str(bad),
+                            "--out", str(tmp_path / sub)], capsys)
+        assert rc == 2
+        payload = json.loads(captured.err)
+        assert payload["error"] == "NonHermitianInput"
+        assert "reservoir 'hot' coupling" in payload["message"]
+
+
 def test_unknown_subcommand_exits_2(config_path, capsys):
     rc, _ = run(["frobnicate", "--config", config_path], capsys)
     assert rc == 2
@@ -517,6 +534,32 @@ def test_transfer_matches_frozen_constants(config_path, tmp_path):
     again = json.loads((rerun / "transfer.json").read_text())
     assert again.pop("manifest") != payload.pop("manifest")
     assert again == payload
+
+
+def test_json_writes_null_for_non_finite_floats():
+    """JSON has no inf or nan, so a non-finite float is written as null, at
+    top level and nested; a finite float keeps its %.17g bytes."""
+    for bad in (np.inf, -np.inf, np.nan, float("-inf"), np.float32("nan")):
+        assert fcslab.cli._json_value(bad) == "null"
+        text = fcslab.cli._json_value({"c": bad, "a": [1.5, bad, {"b": bad}]})
+        assert text == '{"a":[1.5,null,{"b":null}],"c":null}'
+        assert json.loads(text) == {"a": [1.5, None, {"b": None}], "c": None}
+    assert fcslab.cli._json_value([0.1, np.float64(-2.5e-300)]) == \
+        "[0.10000000000000001,-2.5e-300]"
+
+
+@pytest.mark.filterwarnings("ignore::fcslab.errors.TruncationWarning")
+def test_transfer_where_f_vanishes_writes_valid_json(config_path, tmp_path):
+    """f vanishes on kappa = c (1, 1), so the relative gap of transfer's
+    f to lambda^2 f is not finite there: it is written as null."""
+    rc, _ = run(["transfer", "--config", config_path, "--out", str(tmp_path),
+                 "--kappa=0.5,0.5"])
+    assert rc == 0
+    with open(tmp_path / "transfer.json") as fh:
+        payload = json.load(fh)
+    assert payload["f_fgr"] == 0.0
+    assert payload["relative_gap"] is None
+    assert np.isfinite(payload["f_transfer"])
 
 
 def test_fv_compare_table(config_path, tmp_path):

@@ -107,6 +107,38 @@ def test_unknown_keys_are_named(qubit_model):
             build_from_dict(tree)
 
 
+def test_old_run_keys_load_their_one_value(qubit_model, tmp_path):
+    """Instance files of earlier versions carry run.variant: secular and
+    run.lamb_shift: true, the form the library builds; they load to the
+    same model and generator."""
+    tree = model_to_dict(qubit_model)
+    legacy = model_to_dict(qubit_model)
+    legacy["run"].update(variant="secular", lamb_shift=True)
+    path = tmp_path / "legacy.yaml"
+    dump_config(legacy, path)
+    assert "variant: secular\n  lamb_shift: true\n" in path.read_text()
+    model = load_config(path).model
+    assert model_to_dict(model) == tree
+    kappa = np.array([0.37, -0.11])
+    assert np.array_equal(build_deformed_lindblad(model, kappa).heisenberg,
+                          build_deformed_lindblad(qubit_model,
+                                                  kappa).heisenberg)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("variant", "diagonal"), ("variant", "Secular"), ("variant", True),
+    ("lamb_shift", False), ("lamb_shift", 1), ("lamb_shift", "true"),
+    ("lamb_shift", None),
+])
+def test_old_run_keys_refuse_other_values(qubit_model, tmp_path, key, value):
+    tree = model_to_dict(qubit_model)
+    tree["run"][key] = value
+    path = tmp_path / "bad.yaml"
+    dump_config(tree, path)
+    with pytest.raises(ConfigError, match=rf"run\.{key}"):
+        load_config(path)
+
+
 def test_malformed_matrices_rejected(qubit_model):
     tree = model_to_dict(qubit_model)
     tree["system"]["hamiltonian"] = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]]

@@ -238,7 +238,7 @@ def test_truncation_warning_tracks_thermal_tail(qubit_system):
         assemble(model2, modes2)
 
 
-def test_dimension_cap(qubit_model):
+def test_dimension_cap(qubit_model, monkeypatch):
     modes = [resonant_modes(qubit_model.system, r, 4, 0.2, n_max=3)
              for r in qubit_model.reservoirs]
     # 2 * 4^8 = 131072 over the default cap
@@ -248,10 +248,11 @@ def test_dimension_cap(qubit_model):
             assemble(qubit_model, modes)
     small = [resonant_modes(qubit_model.system, r, 2, 0.35, n_max=1)
              for r in qubit_model.reservoirs]
+    monkeypatch.setattr(fcslab.finite_volume, "DIMENSION_CAP", 20)
     with pytest.raises(DimensionCap):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            assemble(qubit_model, small, dimension_cap=20)
+            assemble(qubit_model, small)
 
 
 # ---------------------------------------------------------------------------

@@ -367,8 +367,7 @@ def test_upsilon_qubit_hand_value(qubit_system):
 
 def test_upsilon_dissipative_part_psd():
     for model in model_fleet(6, seed=21):
-        upsilon = compute_upsilon(model.system, model.reservoirs,
-                                  lamb_shift=model.lamb_shift)
+        upsilon = compute_upsilon(model.system, model.reservoirs)
         diss = (upsilon.conj().T - upsilon) / 2j     # = pi sum M G >= 0
         evals = np.linalg.eigvalsh(diss)
         assert evals.min() >= -1e-10 * max(1.0, evals.max())
@@ -402,27 +401,52 @@ def test_generator_commutes_with_free_evolution():
         assert np.abs(comm).max() <= 1e-10 * max(1.0, np.abs(l).max())
 
 
-def test_variants_agree_for_simple_bohr_frequencies(qubit_model):
-    kappa = np.array([0.3, -0.1])
-    sec = build_deformed_lindblad(
-        dataclasses.replace(qubit_model, variant="secular"), kappa)
-    diag = build_deformed_lindblad(
-        dataclasses.replace(qubit_model, variant="diagonal"), kappa)
-    assert np.abs(sec.heisenberg - diag.heisenberg).max() < 1e-14
-
-
-def test_variants_differ_with_repeated_gaps():
-    # E = diag(0, 1, 2): the gap 1 appears twice, secular keeps cross terms
+def _bohr_zero_cases():
+    """Five spectra, three of them degenerate or with repeated gaps, each as
+    given and rotated by a random unitary, with the README densities and
+    random complex couplings; then a random fleet."""
+    rng = np.random.default_rng(3)
     dens = canonical_reservoirs()[0].density
-    coupling = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
-    res = ReservoirSpec(label="ladder", beta=1.0, coupling=coupling,
-                        density=dens)
-    model = make_model(np.diag([0.0, 1.0, 2.0]), [res], lam=0.1)
-    sec = build_deformed_lindblad(
-        dataclasses.replace(model, variant="secular"), [0.0])
-    diag = build_deformed_lindblad(
-        dataclasses.replace(model, variant="diagonal"), [0.0])
-    assert np.abs(sec.heisenberg - diag.heisenberg).max() > 1e-3
+    for spectrum in ([0, 1, 2], [0, 1, 1, 2], [0, 1, 1, 2, 3], [1, 1, 0],
+                     [1, 0.6, 0]):
+        d = len(spectrum)
+        reservoirs = [ReservoirSpec(label=label, beta=beta,
+                                    coupling=random_hermitian(rng, d),
+                                    density=dens)
+                      for label, beta in (("hot", 1.0), ("cold", 2.0))]
+        q, _ = np.linalg.qr(rng.normal(size=(d, d))
+                            + 1j * rng.normal(size=(d, d)))
+        for e in (np.diag(spectrum), q @ np.diag(spectrum) @ q.conj().T):
+            yield make_model(e, reservoirs, lam=0.1)
+    yield from model_fleet(6, seed=44)
+
+
+def test_level_pair_generator_agrees_on_bohr_zero_block():
+    """f is the leading eigenvalue on the Bohr-frequency-0 block, so the
+    generator with one jump term per level pair gives the same f.  It
+    differs from the secular one by the cross terms A_1^* S A_2 between two
+    level pairs of one frequency, and for S in the block those carry a
+    product of two orthogonal eigenprojections.  So the blocks agree up to
+    rounding: the cross terms' own, of order eps max|L|, and that of the
+    rotation into the energy eigenbasis, whose inner products have length
+    d^2.  kappa runs over 0, a point on the thermal line and one off it."""
+    eps = np.finfo(float).eps
+    for model in _bohr_zero_cases():
+        n = model.n_reservoirs
+        betas = np.array([r.beta for r in model.reservoirs])
+        lo, hi = model.domain_box.T
+        for kappa in (np.zeros(n), 0.4 * betas,
+                      lo + 0.3 * (hi - lo) * np.arange(1, n + 1) / n):
+            parts = build_deformed_lindblad(model, kappa)
+            ours = parts.assemble(kappa)
+            ref = parts.drift_matrix.copy()
+            for k, omega, mat in oracles.level_pair_jump_terms(model):
+                ref += np.exp(-kappa[k] * omega) * mat
+            d = model.system.dim
+            bound = d * d * eps * max(1.0, np.abs(ours).max())
+            gap = (oracles.bohr_zero_block(ours, model.system)
+                   - oracles.bohr_zero_block(ref, model.system))
+            assert np.abs(gap).max() <= bound, (model.system.energies, kappa)
 
 
 def test_complex_kappa_is_refused_not_dropped(qubit_model):

@@ -22,13 +22,14 @@ from fcslab import (
     effective_density,
     make_model,
 )
+from fcslab.config import build_from_dict, model_to_dict
 from fcslab.errors import (
     ConfigError,
     DegenerateBohrCollision,
     NonHermitianInput,
     NonPositiveTemperature,
 )
-from fcslab.model import check_hermitian
+from fcslab.model import HERMITICITY_TOL, check_hermitian
 
 from conftest import (
     SIGMA_X,
@@ -71,6 +72,21 @@ def test_build_system_bohr_collision():
 def test_build_system_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
         build_system(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_reservoir_refuses_non_hermitian_coupling():
+    """The generator pairs A(-omega) with A(omega)^* and finite volume
+    couples D a^dagger + D^* a, which agree only for D = D^*: a coupling
+    beyond HERMITICITY_TOL is refused, naming the reservoir, and one within
+    it is kept as given."""
+    dens = canonical_reservoirs()[0].density
+    for bad in (np.array([[0.0, 2.0], [0.0, 0.0]]),
+                SIGMA_X + [[0.0, 2 * HERMITICITY_TOL], [0.0, 0.0]]):
+        with pytest.raises(NonHermitianInput, match="reservoir 'hot'"):
+            ReservoirSpec(label="hot", beta=1.0, coupling=bad, density=dens)
+    near = SIGMA_X + [[0.0, 0.5 * HERMITICITY_TOL], [0.0, 0.0]]
+    res = ReservoirSpec(label="hot", beta=1.0, coupling=near, density=dens)
+    assert np.array_equal(res.coupling, near)
 
 
 def _verdict(matrix):
@@ -330,8 +346,11 @@ def test_model_validation_errors():
                    rho_system=np.diag([0.7, 0.7]))
     with pytest.raises(ConfigError):
         make_model(np.diag([0.5, -0.5]), res, lam=-1.0)
-    with pytest.raises(ConfigError):
-        make_model(np.diag([0.5, -0.5]), res, lam=0.1, variant="exotic")
+    # the config's old generator key takes only the form the library builds
+    tree = model_to_dict(make_model(np.diag([0.5, -0.5]), res, lam=0.1))
+    tree["run"]["variant"] = "exotic"
+    with pytest.raises(ConfigError, match=r"run\.variant"):
+        build_from_dict(tree)
     bad = ReservoirSpec(label="big", beta=1.0, coupling=np.eye(3),
                         density=res[0].density)
     with pytest.raises(ConfigError):

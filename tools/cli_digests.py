@@ -6,8 +6,11 @@ invocation of `python -m fcslab` against it in a fresh process, plus a
 `fv-tpm` run on a second qubit config whose reservoirs have a `flat` and a
 `table` density (the README config has only `ohmic` ones), plus an `fv-tpm`
 and a `transfer` run on a third qubit config with sigma_y couplings, whose
-finite-volume Hamiltonian is complex (the README config's is real), and
-prints one line `blas-threads subcommand file sha256` per output file.  The
+finite-volume Hamiltonian is complex (the README config's is real), plus
+an `fv-tpm` rerun of the README `fv-tpm` run's instance.yaml rewritten as
+earlier versions wrote it (with `run.variant: secular` and
+`run.lamb_shift: true`), labelled `fv-tpm-legacy`, and prints one line
+`blas-threads subcommand file sha256` per output file.  The
 manifest's `wall_time_s` is the only value that differs between reruns, so
 it is masked before hashing.  Diffing the output of two checkouts shows whether
 a change moved any output byte:
@@ -33,6 +36,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import yaml
 
 CONFIG = """\
 system:
@@ -104,6 +109,12 @@ INVOCATIONS = [
      "--seed=4294967296"],
 ]
 
+# the README fv-tpm run, rerun against its own instance.yaml in the form
+# earlier versions wrote it
+LEGACY_INVOCATION = ["fv-tpm", "--tmax", "5", "--kappa", "0.25,0.5"]
+LEGACY_SOURCE = INVOCATIONS.index(LEGACY_INVOCATION)
+LEGACY_RUN_KEYS = {"variant": "secular", "lamb_shift": True}
+
 WALL_TIME = re.compile(rb'"wall_time_s":[^,}]*')
 
 
@@ -112,6 +123,25 @@ def file_digest(path):
     if path.name == "manifest.json":
         blob = WALL_TIME.sub(b'"wall_time_s":"masked"', blob)
     return hashlib.sha256(blob).hexdigest()
+
+
+def legacy_instance(instance, path):
+    """Write instance.yaml with the run keys earlier versions wrote, in the
+    place they wrote them (the library's own YAML dump options)."""
+    tree = yaml.safe_load(instance.read_text())
+    tree["run"].update(LEGACY_RUN_KEYS)
+    with open(path, "w") as fh:
+        yaml.safe_dump(tree, fh, sort_keys=False, default_flow_style=None)
+
+
+def run_and_digest(env, threads, config, args, out, name=None):
+    """Run one invocation and print its digest lines, labelled with name
+    (default: the subcommand)."""
+    subprocess.run([sys.executable, "-m", "fcslab", args[0],
+                    "--config", str(config), "--out", str(out), *args[1:]],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
+    for path in sorted(out.iterdir()):
+        print(threads, name or args[0], path.name, file_digest(path))
 
 
 def main(argv):
@@ -132,12 +162,13 @@ def main(argv):
                        MKL_NUM_THREADS=threads)
             for n, (config, args) in enumerate(runs):
                 out = Path(tmp) / f"{threads}-{n}-{args[0]}"
-                subprocess.run([sys.executable, "-m", "fcslab", args[0],
-                                "--config", str(config), "--out", str(out),
-                                *args[1:]],
-                               env=env, check=True, stdout=subprocess.DEVNULL)
-                for path in sorted(out.iterdir()):
-                    print(threads, args[0], path.name, file_digest(path))
+                run_and_digest(env, threads, config, args, out)
+            legacy = Path(tmp) / f"{threads}-legacy.yaml"
+            legacy_instance(Path(tmp) / f"{threads}-{LEGACY_SOURCE}-fv-tpm"
+                            / "instance.yaml", legacy)
+            run_and_digest(env, threads, legacy, LEGACY_INVOCATION,
+                           Path(tmp) / f"{threads}-legacy-fv-tpm",
+                           name="fv-tpm-legacy")
     return 0
 
 
