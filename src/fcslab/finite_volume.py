@@ -615,7 +615,7 @@ def weak_coupling_compare(model, kappas, lams, n_modes=3, n_max=2,
     """
     from .scgf import ScgfSolver
 
-    solver = ScgfSolver(model, check_irreducibility=False)
+    solver = ScgfSolver(model)
     kappas = [np.atleast_1d(np.asarray(k, dtype=float)) for k in kappas]
     table = WeakCouplingTable()
     for lam in lams:

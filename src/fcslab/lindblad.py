@@ -14,8 +14,9 @@ with level-shift operator
               (-i pi G_k(omega) - H_k(omega)),     omega = e - e',
 
 and H_k(omega) the principal-value transform of G_k at omega.  Transitions
-are grouped by frequency (the secular form), A_k(omega) = sum_{e-e'=omega}
-1_{E_e'} D_k 1_{E_e}.
+are grouped by Bohr cluster (the secular form), A_k(omega) =
+sum_{e-e'=omega} 1_{E_e'} D_k 1_{E_e}, over the channels of
+`model.jump_channels`.
 
 At kappa = 0 the Heisenberg form annihilates the identity; its Hilbert-
 Schmidt adjoint (the state-picture generator, `GeneratorParts.dual`) is the
@@ -32,7 +33,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import ConfigError, QuadratureNotConverged
-from .model import effective_density, level_pair_density
+from .model import effective_density, jump_channels
 
 # ---------------------------------------------------------------------------
 # vectorization
@@ -297,9 +298,9 @@ class GeneratorParts:
     L_kappa in the column-major vec convention.
     dual: its conjugate transpose, the Hilbert-Schmidt adjoint
     (trace-preserving at kappa = 0).
-    jump_terms: per (reservoir, omega) superoperator matrices S -> A^* S A
-    with the 2 pi G factor included but without the counting weight, so
-    re-tilting at another kappa is a cheap weighted sum.
+    jump_terms: per (reservoir, Bohr cluster) superoperator matrices
+    S -> A^* S A with the 2 pi G factor included but without the counting
+    weight, so re-tilting at another kappa is a cheap weighted sum.
     """
 
     dim: int
@@ -348,47 +349,23 @@ def _real_kappa(kappa):
     return np.asarray(np.real(kappa), dtype=float)
 
 
-def _frequency_channels(system, coupling, dens):
-    """Active (omega, level pair) channels for one reservoir.
-
-    Yields (omega, G(omega), e_index, ep_index, jump block
-    1_{E_e'} D 1_{E_e}), with G evaluated on all level pairs in one call.
-    Channels with vanishing spectral weight or vanishing matrix element are
-    dropped.
-    """
-    energies = system.energies
-    proj = system.projections
-    scale = max(1.0, float(np.abs(coupling).max()))
-    weights = level_pair_density(dens, energies)
-    for e in range(len(energies)):
-        for ep in range(len(energies)):
-            g = float(weights[e, ep])
-            if g <= 0.0:
-                continue
-            a = proj[ep] @ coupling @ proj[e]
-            if np.abs(a).max() <= 1e-15 * scale:
-                continue
-            yield float(energies[e] - energies[ep]), g, e, ep, a
-
-
 def compute_upsilon(system, reservoirs, quad=None):
     """Level-shift operator Upsilon.
 
     Upsilon = sum over channels of M_{k,e,e'} (-i pi G_k(omega) - H_k(omega))
-    with M = 1_{E_e} D^* 1_{E_e'} D 1_{E_e}.
+    with M = 1_{E_e} D^* 1_{E_e'} D 1_{E_e}, one H per Bohr cluster, taken
+    at its first channel's omega.
     """
     d = system.dim
     upsilon = np.zeros((d, d), dtype=complex)
     for res in reservoirs:
         dens = effective_density(res)
-        coupling = np.asarray(res.coupling, dtype=complex)
         h_cache = {}
-        for omega, g, e, ep, a in _frequency_channels(system, coupling,
-                                                      dens):
-            if omega not in h_cache:
-                h_cache[omega] = principal_value(dens, omega, quad)
+        for omega, b, g, _, _, a in jump_channels(system, res):
+            if b not in h_cache:
+                h_cache[b] = principal_value(dens, omega, quad)
             m = a.conj().T @ a          # 1_{E_e} D^* 1_{E_e'} D 1_{E_e}
-            upsilon += m * (-1j * np.pi * g - h_cache[omega])
+            upsilon += m * (-1j * np.pi * g - h_cache[b])
     return upsilon
 
 
@@ -396,8 +373,9 @@ def build_deformed_lindblad(model, kappa):
     """Assemble the deformed weak-coupling generator for a validated model.
 
     Returns GeneratorParts.  kappa is checked against the model's domain box;
-    the quadrature is the model's own.  Each omega takes its rate from its
-    first channel, and its jump operator sums the channels in order.
+    the quadrature is the model's own.  Each Bohr cluster takes its omega
+    and its rate from its first channel, and its jump operator sums the
+    channels in order.
     """
     kappa = model.check_kappa(kappa)
     quad = (QuadratureParams.from_mapping(model.quadrature)
@@ -411,16 +389,13 @@ def build_deformed_lindblad(model, kappa):
 
     jump_terms = []
     for k, res in enumerate(model.reservoirs):
-        dens = effective_density(res)
-        coupling = np.asarray(res.coupling, dtype=complex)
-        per_freq = {}                   # omega -> [summed jump op, rate]
-        for omega, g, e, ep, a in _frequency_channels(system, coupling,
-                                                      dens):
-            if omega not in per_freq:
-                per_freq[omega] = [np.zeros((d, d), dtype=complex),
-                                   2.0 * np.pi * g]
-            per_freq[omega][0] += a
-        for omega, (a_total, rate) in per_freq.items():
+        groups = {}                 # Bohr index -> [omega, summed op, rate]
+        for omega, b, g, _, _, a in jump_channels(system, res):
+            if b not in groups:
+                groups[b] = [omega, np.zeros((d, d), dtype=complex),
+                             2.0 * np.pi * g]
+            groups[b][1] += a
+        for omega, a_total, rate in groups.values():
             jump_terms.append((k, omega,
                                rate * np.kron(a_total.T, a_total.conj().T)))
 

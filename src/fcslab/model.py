@@ -30,6 +30,9 @@ from .errors import (
 )
 
 HERMITICITY_TOL = 1e-12
+# a level pair is a jump channel when max|1_{E_e'} D 1_{E_e}| exceeds this
+# times max(1, max|D|) (and G(e - e') > 0); see jump_channels
+CHANNEL_TOL = 1e-15
 
 
 def _frozen(a):
@@ -49,7 +52,9 @@ class SystemSpec:
 
     energies[g] are the distinct eigenvalues (ascending), projections[g] the
     matching eigenprojections, bohr_frequencies the difference set
-    sp E - sp E (sorted, symmetric, containing 0).
+    sp E - sp E (sorted, symmetric, containing 0), and bohr_index[e, e'] the
+    index in bohr_frequencies of the cluster holding energies[e] -
+    energies[e'].
     """
 
     hamiltonian: np.ndarray
@@ -57,6 +62,7 @@ class SystemSpec:
     projections: np.ndarray       # (n_levels, d, d)
     multiplicities: np.ndarray
     bohr_frequencies: np.ndarray
+    bohr_index: np.ndarray        # (n_levels, n_levels)
     eigenbasis: np.ndarray        # columns ordered by level group
     degeneracy_tol: float
 
@@ -149,6 +155,8 @@ def build_system(hamiltonian, degeneracy_tol=None):
 
     # Bohr set from grouped energies: cluster all pairwise differences and
     # demand each cluster is a single frequency up to floating-point noise.
+    # The clusters come out in ascending order, so a label is an index into
+    # the Bohr set.
     diffs = (energies[:, None] - energies[None, :]).ravel()
     reps, dlabels = _cluster(diffs, degeneracy_tol)
     coincide_tol = max(1e-12 * scale, 64 * np.finfo(float).eps * scale)
@@ -161,14 +169,13 @@ def build_system(hamiltonian, degeneracy_tol=None):
                 f"cluster around {reps[g]:.6g} has spread {spread:.3e}",
                 diagnostics={"cluster": reps[g], "spread": spread,
                              "degeneracy_tol": degeneracy_tol})
-    bohr = np.sort(reps)
-
     return SystemSpec(
         hamiltonian=_frozen(h),
         energies=_frozen(energies),
         projections=_frozen(projections),
         multiplicities=_frozen(mult),
-        bohr_frequencies=_frozen(bohr),
+        bohr_frequencies=_frozen(reps),
+        bohr_index=_frozen(dlabels.reshape(n_levels, n_levels)),
         eigenbasis=_frozen(eigvecs),
         degeneracy_tol=float(degeneracy_tol),
     )
@@ -406,13 +413,6 @@ class EffectiveDensity:
         return sorted(pts)
 
 
-def level_pair_density(dens, energies):
-    """G(e - e') for every pair of levels, as an (n, n) array indexed
-    [e, e'], from one vectorized density call."""
-    omegas = energies[:, None] - energies[None, :]
-    return dens(omegas.ravel()).reshape(omegas.shape)
-
-
 def effective_density(reservoir):
     """Standard construction of G_k from (beta_k, J_k).
 
@@ -482,8 +482,36 @@ def correlation_decay_rate(reservoir):
 
 
 # ---------------------------------------------------------------------------
-# irreducibility of the weak-coupling dynamics
+# jump channels and the irreducibility of the weak-coupling dynamics
 # ---------------------------------------------------------------------------
+
+def jump_channels(system, reservoir):
+    """The jump channels of one reservoir: the one list that the generator,
+    Upsilon, the irreducibility check and the rate process read.
+
+    Yields (omega, b, G(omega), e, e', A) in level-pair order, for every
+    pair with G(omega) > 0 and max|A| > CHANNEL_TOL * max(1, max|D|), where
+    omega = e - e', b = system.bohr_index[e, e'] and A = 1_{E_e'} D 1_{E_e}.
+    G is evaluated on all level pairs in one density call.
+    """
+    energies = system.energies
+    proj = system.projections
+    coupling = np.asarray(reservoir.coupling, dtype=complex)
+    scale = max(1.0, float(np.abs(coupling).max()))
+    omegas = energies[:, None] - energies[None, :]
+    weights = effective_density(reservoir)(omegas.ravel()).reshape(
+        omegas.shape)
+    for e in range(len(energies)):
+        for ep in range(len(energies)):
+            g = float(weights[e, ep])
+            if g <= 0.0:
+                continue
+            a = proj[ep] @ coupling @ proj[e]
+            if np.abs(a).max() <= CHANNEL_TOL * scale:
+                continue
+            yield (float(energies[e] - energies[ep]),
+                   int(system.bohr_index[e, ep]), g, e, ep, a)
+
 
 def _commutant_dimension(generators, dim):
     """Dimension of {S : [S, A_i] = 0 for all i} and a basis of solutions.
@@ -508,30 +536,19 @@ def _commutant_dimension(generators, dim):
 def check_fgr_irreducibility(system, reservoirs):
     """Decide whether the active jump channels generate an irreducible set.
 
-    The generator set is {1_{E_e} D_k 1_{E_e'}} over reservoirs k and level
-    pairs with G_k(e - e') > 0.  The commutant of this set is computed by
-    solving [S, A] = 0 as a linear system; irreducible means its dimension
-    is exactly 1 (multiples of the identity).  The decision does not depend
+    The generator set is the jump blocks A of jump_channels over every
+    reservoir, the channels the generator is built from.  The commutant of
+    this set is computed by solving [S, A] = 0 as a linear system;
+    irreducible means its dimension is exactly 1 (multiples of the
+    identity).  The decision does not depend
     on the basis the inputs are written in, so it is made once.
 
     Returns (irreducible, witness): witness is None when irreducible,
     otherwise a non-scalar commuting matrix.
     """
     d = system.dim
-    projections = system.projections
-    energies = system.energies
-
-    gens = []
-    for res in reservoirs:
-        weight = level_pair_density(effective_density(res), energies)
-        coupling = np.asarray(res.coupling, dtype=complex)
-        for a in range(len(energies)):
-            for b in range(len(energies)):
-                if weight[a, b] <= 0.0:
-                    continue
-                g = projections[a] @ coupling @ projections[b]
-                if np.abs(g).max() > 1e-14 * max(1.0, np.abs(coupling).max()):
-                    gens.append(g)
+    gens = [a for res in reservoirs
+            for *_, a in jump_channels(system, res)]
     null_dim, null_basis = _commutant_dimension(gens, d)
     if null_dim == 1:
         return True, None

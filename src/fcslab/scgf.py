@@ -63,19 +63,16 @@ class ScgfResult:
 class ScgfSolver:
     """Caches the kappa-independent generator pieces for fast re-tilting."""
 
-    def __init__(self, model, check_irreducibility=True):
+    def __init__(self, model):
         self.model = model
         self.parts = build_deformed_lindblad(model,
                                              np.zeros(model.n_reservoirs))
         self.dim = model.system.dim
-        self.irreducible = None
-        if check_irreducibility:
-            ok, _ = check_fgr_irreducibility(model.system, model.reservoirs)
-            self.irreducible = ok
-            if not ok:
-                warnings.warn(
-                    "jump channels are reducible; the leading eigenvalue "
-                    "need not be simple", SimpleEigenvalueWarning)
+        ok, _ = check_fgr_irreducibility(model.system, model.reservoirs)
+        if not ok:
+            warnings.warn(
+                "jump channels are reducible; the leading eigenvalue "
+                "need not be simple", SimpleEigenvalueWarning)
 
     # -- spectral core ----------------------------------------------------
 

@@ -28,7 +28,7 @@ from .errors import (
     EigenvalueCollision,
     PopulationReductionInvalid,
 )
-from .model import effective_density
+from .model import effective_density, jump_channels
 
 BOOT_KEY = 0xB007          # spawn keys reserving independent substreams
 JITTER_KEY = 0xC17
@@ -46,10 +46,11 @@ class RateProcess:
     """Classical jump process equivalent to the population sector.
 
     Transitions are stored flat (sources[m] -> targets[m] through reservoir
-    reservoirs[m] at rates[m], transporting omegas[m]); zero-rate channels
-    and self-loops are dropped.  Self-loops carry omega = 0, so their
-    counting weight is 1 for every kappa and they cancel between the gain
-    and loss terms of the tilted generator; dropping them is exact.
+    reservoirs[m] at rates[m], transporting omegas[m]); they are the
+    channels of `model.jump_channels` without the self-loops.  Self-loops
+    carry omega = 0, so their counting weight is 1 for every kappa and they
+    cancel between the gain and loss terms of the tilted generator; dropping
+    them is exact.
     """
 
     energies: np.ndarray
@@ -141,18 +142,14 @@ def build_rate_process(system, reservoirs):
     for k, res in enumerate(reservoirs):
         g = effective_density(res)
         d_eig = v.conj().T @ np.asarray(res.coupling, dtype=complex) @ v
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    continue
-                w = energies[i] - energies[j]
-                rate = 2.0 * np.pi * float(g(w)) * abs(d_eig[j, i]) ** 2
-                if rate > 0.0:
-                    sources.append(i)
-                    targets.append(j)
-                    res_idx.append(k)
-                    rates.append(rate)
-                    omegas.append(w)
+        for w, _, _, i, j, _ in jump_channels(system, res):
+            if i == j:
+                continue
+            sources.append(i)
+            targets.append(j)
+            res_idx.append(k)
+            rates.append(2.0 * np.pi * float(g(w)) * abs(d_eig[j, i]) ** 2)
+            omegas.append(w)
     sources = np.array(sources, dtype=np.intp)
     targets = np.array(targets, dtype=np.intp)
     rates = np.array(rates, dtype=float)

@@ -18,12 +18,11 @@ from fcslab.errors import ConfigError, QuadratureNotConverged
 from fcslab.finite_volume import GROUP_TOL, _block_map, _block_propagator
 from fcslab.lindblad import (
     QuadratureParams,
-    _frequency_channels,
     _gauss_rule,
     _graded_edges,
     _panel_edges,
 )
-from fcslab.model import effective_density
+from fcslab.model import jump_channels
 
 # ---------------------------------------------------------------------------
 # reference qubit: E = diag(1/2, -1/2), D1 = D2 = sigma_x,
@@ -108,18 +107,14 @@ def semigroup(mat, t, s):
 def level_pair_jump_terms(model):
     """Jump terms with one entry per level pair instead of one per Bohr
     frequency: (k, omega, 2 pi G_k(omega) kron(a^T, a^*)) with
-    a = 1_{E_e'} D_k 1_{E_e} for every channel of reservoir k.  This is the
-    "diagonal" generator that fcslab.lindblad once built as a variant, kept
-    verbatim.  On the Bohr-frequency-0 block the cross terms between level
-    pairs of one frequency vanish, so there it equals the secular
-    generator."""
-    system = model.system
+    a = 1_{E_e'} D_k 1_{E_e} for every channel of reservoir k that
+    fcslab.model.jump_channels lists.  This is the "diagonal" generator that
+    fcslab.lindblad once built as a variant.  On the Bohr-frequency-0 block
+    the cross terms between level pairs of one frequency vanish, so there
+    it equals the secular generator."""
     jump_terms = []
     for k, res in enumerate(model.reservoirs):
-        dens = effective_density(res)
-        coupling = np.asarray(res.coupling, dtype=complex)
-        for omega, g, e, ep, a in _frequency_channels(system, coupling,
-                                                      dens):
+        for omega, _, g, _, _, a in jump_channels(model.system, res):
             rate = 2.0 * np.pi * g
             jump_terms.append((k, omega,
                                rate * np.kron(a.T, a.conj().T)))

@@ -70,7 +70,7 @@ def test_criterion_01_normalization_and_trace_preservation():
     t0 = time.monotonic()
     rng = np.random.default_rng(11)
     for model in model_fleet(20, seed=11):
-        solver = ScgfSolver(model, check_irreducibility=False)
+        solver = ScgfSolver(model)
         f0 = solver.f(np.zeros(model.n_reservoirs))
         assert abs(f0) <= 1e-12, f"f(0) = {f0}"
         dual = build_deformed_lindblad(
@@ -90,7 +90,7 @@ def test_criterion_02_gc_symmetry_with_corrupted_control(qubit):
     defect = scan.defect / qubit.lam ** 2
     assert defect <= 1e-9, f"qubit defect {defect}"
     for model in model_fleet(10, seed=2121):
-        solver = ScgfSolver(model, check_irreducibility=False)
+        solver = ScgfSolver(model)
         d = gc_symmetry_defect(solver, nu_grid=nus).defect / model.lam ** 2
         assert d <= 1e-9, f"fleet defect {d}"
     # corrupted control: mirroring about 10 percent warmer reservoirs is
@@ -125,7 +125,7 @@ def test_criterion_04_moments_derivatives_and_entropy_sign(qubit):
     t0 = time.monotonic()
     models = [qubit] + model_fleet(3, seed=808, n_res=2)
     for model in models:
-        solver = ScgfSolver(model, check_irreducibility=False)
+        solver = ScgfSolver(model)
         mom = transport_moments(model, fd_check=False)
         zero = np.zeros(model.n_reservoirs)
         grad = oracles.richardson_gradient(solver.f, zero)

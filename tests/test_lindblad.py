@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import fcslab.lindblad
 import fcslab.model
@@ -23,7 +24,8 @@ from fcslab import (
     vec,
 )
 from fcslab.errors import ConfigError, QuadratureNotConverged
-from fcslab.lindblad import _frequency_channels, _gauss_rule
+from fcslab.lindblad import _gauss_rule
+from fcslab.model import jump_channels
 from fcslab.scgf import ScgfSolver
 
 from conftest import (
@@ -449,6 +451,72 @@ def test_level_pair_generator_agrees_on_bohr_zero_block():
             assert np.abs(gap).max() <= bound, (model.system.energies, kappa)
 
 
+def _covariance_cases():
+    """Four spectra (equally spaced ladders, one degenerate, one whose gaps
+    round apart) with random complex couplings to the two README baths;
+    each as given and rotated by three random unitaries q."""
+    rng = np.random.default_rng(3)
+    dens = canonical_reservoirs()[0].density
+    for spectrum in ([0.1, 0.2, 0.3], [0, 1, 2], [0, 0.3, 0.6, 0.9],
+                     [0, 1, 1, 2]):
+        d = len(spectrum)
+        reservoirs = [ReservoirSpec(label=label, beta=beta,
+                                    coupling=random_hermitian(rng, d),
+                                    density=dens)
+                      for label, beta in (("hot", 1.0), ("cold", 2.0))]
+        base = make_model(np.diag(spectrum), reservoirs, lam=0.1)
+        rotations = [np.linalg.qr(rng.normal(size=(d, d))
+                                  + 1j * rng.normal(size=(d, d)))[0]
+                     for _ in range(3)]
+        yield spectrum, base, rotations
+
+
+def test_generator_is_covariant_under_a_change_of_basis():
+    """Rewriting H and every D_k in another orthonormal basis, S -> q S q^*,
+    rewrites the generator as L -> W L W^* with W = conj(q) kron q, so the
+    jump terms, the coherence eigenvalues and the gap must not depend on
+    the basis the model is given in.  One jump term per reservoir and
+    active Bohr frequency, in every basis.
+
+    The bound is rounding only.  W L W^* sums d^2 products of entries of
+    modulus at most max|L| per product, twice; the rotated model's
+    eigenprojections carry eigh's backward error of order d eps ||H||,
+    amplified by ||H|| / (smallest level gap), twice in each jump term.
+    The gap moves by at most cond(V) ||dL||_2 per eigenvalue (Bauer-Fike,
+    V the eigenvectors of L) with ||dL||_2 <= d^2 max|dL|."""
+    eps = np.finfo(float).eps
+    for spectrum, base, rotations in _covariance_cases():
+        d = len(spectrum)
+        levels = np.unique(spectrum)
+        spread = float(np.abs(levels).max() / np.diff(levels).min())
+        omegas = np.unique(np.round(np.subtract.outer(levels, levels), 12))
+        groups = sum(int(np.sum(effective_density(r)(omegas) > 0.0))
+                     for r in base.reservoirs)
+        solver = ScgfSolver(base)
+        assert len(solver.parts.jump_terms) == groups, spectrum
+        betas = np.array([r.beta for r in base.reservoirs])
+        lo, hi = base.domain_box.T
+        kappas = (np.zeros(2), 0.4 * betas, lo + 0.3 * (hi - lo) * [1, 2] / 2)
+        mats = [solver.parts.assemble(kappa) for kappa in kappas]
+        gaps = [solver.leading(kappa).gap for kappa in kappas]
+        conds = [np.linalg.cond(scipy.linalg.eig(mat)[1]) for mat in mats]
+        for q in rotations:
+            rotated = make_model(
+                q @ np.diag(spectrum) @ q.conj().T,
+                [dataclasses.replace(r, coupling=q @ r.coupling @ q.conj().T)
+                 for r in base.reservoirs], lam=0.1)
+            turned = ScgfSolver(rotated)
+            assert len(turned.parts.jump_terms) == groups, spectrum
+            w = np.kron(q.conj(), q)
+            for kappa, mat, gap, cond in zip(kappas, mats, gaps, conds):
+                bound = ((2 + 4 * spread) * d * d * eps
+                         * max(1.0, np.abs(mat).max()))
+                defect = turned.parts.assemble(kappa) - w @ mat @ w.conj().T
+                assert np.abs(defect).max() <= bound, (spectrum, kappa)
+                assert abs(turned.leading(kappa).gap - gap) <= \
+                    2 * cond * d * d * bound, (spectrum, kappa)
+
+
 def test_complex_kappa_is_refused_not_dropped(qubit_model):
     """assemble and derivative refuse a kappa with an imaginary part; a
     complex kappa with zero imaginary part gives the real kappa's bytes."""
@@ -489,9 +557,7 @@ def test_channel_rates_match_oracle(qubit_model):
     got_down = {}
     got_up = {}
     for k, res in enumerate(qubit_model.reservoirs):
-        for omega, g, _, _, _ in _frequency_channels(
-                qubit_model.system, np.asarray(res.coupling, dtype=complex),
-                effective_density(res)):
+        for omega, _, g, _, _, _ in jump_channels(qubit_model.system, res):
             rate = 2.0 * np.pi * g
             if omega > 0:
                 got_down[k] = rate

@@ -15,6 +15,7 @@ from fcslab import (
     ReservoirSpec,
     SpectralDensity,
     bose_occupation,
+    build_deformed_lindblad,
     build_system,
     check_fgr_irreducibility,
     correlation_decay_rate,
@@ -29,7 +30,7 @@ from fcslab.errors import (
     NonHermitianInput,
     NonPositiveTemperature,
 )
-from fcslab.model import HERMITICITY_TOL, check_hermitian
+from fcslab.model import HERMITICITY_TOL, check_hermitian, jump_channels
 
 from conftest import (
     SIGMA_X,
@@ -287,6 +288,21 @@ def test_irreducibility_unitary_invariance(qubit_system):
                             density=res.density)
     ok, _ = check_fgr_irreducibility(build_system(e_rot), [res_rot])
     assert ok
+
+
+def test_irreducibility_reads_the_generator_channels(qubit_system):
+    """A coupling of 5e-15 sigma_x is above CHANNEL_TOL * max(1, max|D|):
+    the generator builds jump terms for omega = +-1 from it, and the
+    irreducibility check decides on the same two channels."""
+    res = ReservoirSpec(label="weak", beta=1.0, coupling=5e-15 * SIGMA_X,
+                        density=canonical_reservoirs()[0].density)
+    channels = list(jump_channels(qubit_system, res))
+    assert sorted(c[0] for c in channels) == [-1.0, 1.0]
+    model = make_model(qubit_system.hamiltonian, [res], lam=0.1)
+    parts = build_deformed_lindblad(model, np.zeros(1))
+    assert sorted(omega for _, omega, _ in parts.jump_terms) == [-1.0, 1.0]
+    ok, witness = check_fgr_irreducibility(qubit_system, [res])
+    assert ok and witness is None
 
 
 def _reducible_cases():

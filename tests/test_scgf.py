@@ -50,7 +50,7 @@ def test_scgf_vanishes_on_uniform_shifts(qubit_solver):
 def test_uniform_shift_invariance_random_models():
     rng = np.random.default_rng(411)
     for model in model_fleet(5, seed=2024):
-        solver = ScgfSolver(model, check_irreducibility=False)
+        solver = ScgfSolver(model)
         box = model.domain_box
         lo, hi = box[:, 0], box[:, 1]
         kappa = lo + (hi - lo) * rng.uniform(0.1, 0.6, size=len(lo))
@@ -108,7 +108,6 @@ def test_collision_raised_for_commuting_coupling():
     model = make_model(np.diag([0.5, -0.5]), [hot, cold], lam=0.1)
     with pytest.warns(SimpleEigenvalueWarning):
         solver = ScgfSolver(model)
-    assert solver.irreducible is False
     with pytest.raises(EigenvalueCollision):
         solver.leading(np.zeros(2))
 
@@ -124,7 +123,7 @@ def test_gc_symmetry_qubit(qubit_solver):
 
 def test_gc_symmetry_random_real_models():
     for model in model_fleet(4, seed=515, real=True):
-        solver = ScgfSolver(model, check_irreducibility=False)
+        solver = ScgfSolver(model)
         scan = gc_symmetry_defect(solver, nu_grid=np.linspace(0, 1, 9))
         assert scan.defect < 1e-10, model.system.energies
 
@@ -184,7 +183,7 @@ def test_derivative_mismatch_guard(qubit_model):
             res, grad, hess = super().gradient_and_hessian(kappa)
             return res, grad * 1.01, hess
 
-    solver = Skewed(qubit_model, check_irreducibility=False)
+    solver = Skewed(qubit_model)
     with pytest.raises(DerivativeMismatch):
         transport_moments(solver)
 

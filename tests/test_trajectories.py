@@ -2,6 +2,8 @@
 against the full weak-coupling generator, seeded Monte Carlo statistics,
 and the central-limit / fluctuation-relation checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from fcslab import (
     build_deformed_lindblad,
     build_rate_process,
     build_system,
+    check_fgr_irreducibility,
     clt_test,
     empirical_scgf,
     entropy_asymmetry,
@@ -31,6 +34,7 @@ from fcslab.errors import (
     EigenvalueCollision,
     PopulationReductionInvalid,
 )
+from fcslab.model import jump_channels
 
 SEED = 20260825
 
@@ -92,6 +96,32 @@ def test_zero_coupling_gives_no_transitions():
     assert len(rp.rates) == 0 and not rp.irreducible
     with pytest.raises(EigenvalueCollision):
         rp.stationary()
+
+
+def test_rate_process_reads_the_generator_channels():
+    """Rotate a 3-level model whose top level is decoupled: rounding leaves
+    matrix elements of order 1e-16 between that level and the others.  The
+    transitions are exactly the generator's channels between distinct
+    levels, so the process is reducible, as the irreducibility check
+    says."""
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.normal(size=(3, 3))
+                     + 1j * rng.normal(size=(3, 3)))[0]
+    block = np.zeros((3, 3))
+    block[0, 1] = block[1, 0] = 1.0
+    reservoirs = [dataclasses.replace(r, coupling=q @ block @ q.conj().T)
+                  for r in canonical_reservoirs()]
+    system = build_system(q @ np.diag([0.0, 1.0, 5.0]) @ q.conj().T)
+    rp = build_rate_process(system, reservoirs)
+    channels = {(k, e, ep) for k, res in enumerate(reservoirs)
+                for _, _, _, e, ep, _ in jump_channels(system, res)
+                if e != ep}
+    assert len(channels) == 4
+    assert set(zip(rp.reservoirs.tolist(), rp.sources.tolist(),
+                   rp.targets.tolist())) == channels
+    assert len(rp.rates) == len(channels)
+    assert not rp.irreducible
+    assert not check_fgr_irreducibility(system, reservoirs)[0]
 
 
 def test_degenerate_spectrum_rejected():

@@ -9,8 +9,10 @@ and a `transfer` run on a third qubit config with sigma_y couplings, whose
 finite-volume Hamiltonian is complex (the README config's is real), plus
 an `fv-tpm` rerun of the README `fv-tpm` run's instance.yaml rewritten as
 earlier versions wrote it (with `run.variant: secular` and
-`run.lamb_shift: true`), labelled `fv-tpm-legacy`, and prints one line
-`blas-threads subcommand file sha256` per output file.  The
+`run.lamb_shift: true`), labelled `fv-tpm-legacy`, plus a `generator` and
+a `scgf-scan` run on the ladder diag(0.1, 0.2, 0.3), whose two gaps differ
+by rounding, labelled `generator-ladder` and `scgf-scan-ladder`, and prints
+one line `blas-threads subcommand file sha256` per output file.  The
 manifest's `wall_time_s` is the only value that differs between reruns, so
 it is masked before hashing.  Diffing the output of two checkouts shows whether
 a change moved any output byte:
@@ -94,6 +96,41 @@ SIGMA_Y_INVOCATIONS = [
     ["transfer", "--lambda", "0.2", "--tau", "0.2"],
 ]
 
+# diag(0.1, 0.2, 0.3) with both README baths: in floating point 0.2 - 0.1
+# and 0.3 - 0.2 differ, so only a grouping by Bohr cluster gives them one
+# jump term
+LADDER_CONFIG = """\
+system:
+  hamiltonian:
+    - [0.1, 0.0]
+    - [0.0, 0.0]
+    - [0.0, 0.0]
+    - [0.0, 0.0]
+    - [0.2, 0.0]
+    - [0.0, 0.0]
+    - [0.0, 0.0]
+    - [0.0, 0.0]
+    - [0.3, 0.0]
+reservoirs:
+  - label: hot
+    beta: 1.0
+    coupling: [[0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 0.0],
+               [1.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 0.0]]
+    density: {form: ohmic, gamma: 0.5, exponent: 1.0, cutoff: 5.0}
+  - label: cold
+    beta: 2.0
+    coupling: [[0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 0.0],
+               [1.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.0, 0.0]]
+    density: {form: ohmic, gamma: 0.5, exponent: 1.0, cutoff: 5.0}
+run:
+  lambda: 0.1
+"""
+
+LADDER_INVOCATIONS = [
+    ["generator", "--kappa", "0.3,0.1"],
+    ["scgf-scan"],
+]
+
 INVOCATIONS = [
     ["validate"],
     ["generator", "--kappa", "0.4,0"],
@@ -153,6 +190,8 @@ def main(argv):
         forms.write_text(FORMS_CONFIG)
         sigma_y = Path(tmp) / "sigma_y.yaml"
         sigma_y.write_text(SIGMA_Y_CONFIG)
+        ladder = Path(tmp) / "ladder.yaml"
+        ladder.write_text(LADDER_CONFIG)
         runs = [(readme, args) for args in INVOCATIONS]
         runs.append((forms, FORMS_INVOCATION))
         runs.extend((sigma_y, args) for args in SIGMA_Y_INVOCATIONS)
@@ -169,6 +208,10 @@ def main(argv):
             run_and_digest(env, threads, legacy, LEGACY_INVOCATION,
                            Path(tmp) / f"{threads}-legacy-fv-tpm",
                            name="fv-tpm-legacy")
+            for args in LADDER_INVOCATIONS:
+                run_and_digest(env, threads, ladder, args,
+                               Path(tmp) / f"{threads}-ladder-{args[0]}",
+                               name=f"{args[0]}-ladder")
     return 0
 
 
