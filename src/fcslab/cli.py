@@ -512,8 +512,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="model config YAML")
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--jobs", default=None, help="worker count")
-    common.add_argument("--seed", default=None, help="base RNG seed")
 
     parser = argparse.ArgumentParser(
         prog="fcslab",
@@ -539,7 +537,8 @@ def build_parser():
         margin={})
     add("transfer", kappa={"action": "append"}, **lam, tau={}, nmax={},
         nblocks={}, nblock={}, modes={}, nocc={}, margin={})
-    add("trajectories", kappa={"action": "append"}, nsamples={}, horizon={})
+    add("trajectories", kappa={"action": "append"}, nsamples={}, horizon={},
+        jobs={"help": "worker count"}, seed={"help": "base RNG seed"})
     return parser
 
 

@@ -349,19 +349,20 @@ def _real_kappa(kappa):
     return np.asarray(np.real(kappa), dtype=float)
 
 
-def compute_upsilon(system, reservoirs, quad=None):
-    """Level-shift operator Upsilon.
+def compute_upsilon(model):
+    """Level-shift operator Upsilon of a validated model.
 
     Upsilon = sum over channels of M_{k,e,e'} (-i pi G_k(omega) - H_k(omega))
     with M = 1_{E_e} D^* 1_{E_e'} D 1_{E_e}, one H per Bohr cluster, taken
-    at its first channel's omega.
+    at its first channel's omega with the model's quadrature.
     """
-    d = system.dim
+    quad = QuadratureParams.from_mapping(model.quadrature)
+    d = model.system.dim
     upsilon = np.zeros((d, d), dtype=complex)
-    for res in reservoirs:
+    for res in model.reservoirs:
         dens = effective_density(res)
         h_cache = {}
-        for omega, b, g, _, _, a in jump_channels(system, res):
+        for omega, b, g, _, _, a in jump_channels(model.system, res):
             if b not in h_cache:
                 h_cache[b] = principal_value(dens, omega, quad)
             m = a.conj().T @ a          # 1_{E_e} D^* 1_{E_e'} D 1_{E_e}
@@ -372,18 +373,15 @@ def compute_upsilon(system, reservoirs, quad=None):
 def build_deformed_lindblad(model, kappa):
     """Assemble the deformed weak-coupling generator for a validated model.
 
-    Returns GeneratorParts.  kappa is checked against the model's domain box;
-    the quadrature is the model's own.  Each Bohr cluster takes its omega
-    and its rate from its first channel, and its jump operator sums the
-    channels in order.
+    Returns GeneratorParts.  kappa is checked against the model's domain box.
+    Each Bohr cluster takes its omega and its rate from its first channel,
+    and its jump operator sums the channels in order.
     """
     kappa = model.check_kappa(kappa)
-    quad = (QuadratureParams.from_mapping(model.quadrature)
-            if model.quadrature else None)
     system = model.system
     d = system.dim
 
-    upsilon = compute_upsilon(system, model.reservoirs, quad=quad)
+    upsilon = compute_upsilon(model)
     eye = np.eye(d)
     drift = -1j * (np.kron(eye, upsilon) - np.kron(upsilon.conj(), eye))
 

@@ -4,6 +4,9 @@ For a nondegenerate system Hamiltonian the weak-coupling generator closes on
 populations, where it is a classical continuous-time jump process on the
 eigenlevels: a jump i -> j through reservoir k occurs at golden-rule rate
 2 pi G_k(w) |<j|D_k|i>|^2 and deposits w = e_i - e_j into that reservoir.
+The process takes its transitions, with their G_k(w), from the model's
+channel table `model.jump_channels`, and its irreducibility from
+`model.check_fgr_irreducibility`, the decisions the generator is built on.
 Gillespie sampling of this process gives empirical transported-energy vectors
 whose generating function, mean currents, covariance, and entropy-production
 asymmetry can be checked against the spectral predictions.  All rates (and
@@ -19,8 +22,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from .errors import (
     ConfigError,
@@ -28,7 +29,7 @@ from .errors import (
     EigenvalueCollision,
     PopulationReductionInvalid,
 )
-from .model import effective_density, jump_channels
+from .model import check_fgr_irreducibility, jump_channels
 
 BOOT_KEY = 0xB007          # spawn keys reserving independent substreams
 JITTER_KEY = 0xC17
@@ -47,10 +48,11 @@ class RateProcess:
 
     Transitions are stored flat (sources[m] -> targets[m] through reservoir
     reservoirs[m] at rates[m], transporting omegas[m]); they are the
-    channels of `model.jump_channels` without the self-loops.  Self-loops
-    carry omega = 0, so their counting weight is 1 for every kappa and they
-    cancel between the gain and loss terms of the tilted generator; dropping
-    them is exact.
+    channels of `model.jump_channels` without the self-loops, each rate
+    taking its G(omega) from its channel.  Self-loops carry omega = 0, so
+    their counting weight is 1 for every kappa and they cancel between the
+    gain and loss terms of the tilted generator; dropping them is exact.
+    irreducible is the decision of `model.check_fgr_irreducibility`.
     """
 
     energies: np.ndarray
@@ -97,8 +99,8 @@ class RateProcess:
         """Unique stationary distribution (requires irreducibility)."""
         if not self.irreducible:
             raise EigenvalueCollision(
-                "transition graph is not strongly connected; stationary "
-                "distribution is not unique")
+                "jump channels act reducibly; stationary distribution "
+                "is not unique")
         d = self.n_states
         a = self.generator()
         a[-1, :] = 1.0
@@ -140,29 +142,20 @@ def build_rate_process(system, reservoirs):
     v = system.eigenbasis
     sources, targets, res_idx, rates, omegas = [], [], [], [], []
     for k, res in enumerate(reservoirs):
-        g = effective_density(res)
         d_eig = v.conj().T @ np.asarray(res.coupling, dtype=complex) @ v
-        for w, _, _, i, j, _ in jump_channels(system, res):
+        for w, _, g, i, j, _ in jump_channels(system, res):
             if i == j:
                 continue
             sources.append(i)
             targets.append(j)
             res_idx.append(k)
-            rates.append(2.0 * np.pi * float(g(w)) * abs(d_eig[j, i]) ** 2)
+            rates.append(2.0 * np.pi * g * abs(d_eig[j, i]) ** 2)
             omegas.append(w)
     sources = np.array(sources, dtype=np.intp)
     targets = np.array(targets, dtype=np.intp)
     rates = np.array(rates, dtype=float)
     exit_rates = np.zeros(d)
     np.add.at(exit_rates, sources, rates)
-    if len(sources):
-        graph = scipy.sparse.csr_matrix(
-            (np.ones(len(sources)), (sources, targets)), shape=(d, d))
-        n_comp, _ = scipy.sparse.csgraph.connected_components(
-            graph, directed=True, connection="strong")
-        irreducible = n_comp == 1
-    else:
-        irreducible = d == 1
     return RateProcess(
         energies=energies,
         betas=np.array([r.beta for r in reservoirs], dtype=float),
@@ -170,7 +163,8 @@ def build_rate_process(system, reservoirs):
         sources=sources, targets=targets,
         reservoirs=np.array(res_idx, dtype=np.intp),
         rates=rates, omegas=np.array(omegas, dtype=float),
-        exit_rates=exit_rates, irreducible=irreducible)
+        exit_rates=exit_rates,
+        irreducible=check_fgr_irreducibility(system, reservoirs)[0])
 
 
 # ---------------------------------------------------------------------------

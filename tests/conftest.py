@@ -1,5 +1,6 @@
 """Shared fixtures: the reference qubit and seeded random model fleets."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -32,6 +33,25 @@ def canonical_reservoirs():
         ReservoirSpec(label="hot", beta=1.0, coupling=SIGMA_X, density=dens),
         ReservoirSpec(label="cold", beta=2.0, coupling=SIGMA_X, density=dens),
     ]
+
+
+def counting_density(dens, sizes):
+    """The same density with every call's input size recorded."""
+    def fn(w):
+        sizes.append(np.size(w))
+        return dens.fn(w)
+    return dataclasses.replace(dens, fn=fn)
+
+
+def weak_link_ladder(eps):
+    """(system, reservoirs): H = diag(0, 1, 2.3) with both README baths
+    coupled through [[0, 1, 0], [1, 0, eps], [0, eps, 0]], so the top level
+    hangs on a link of rate ~eps^2."""
+    coupling = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, eps], [0.0, eps, 0.0]])
+    reservoirs = [ReservoirSpec(label=r.label, beta=r.beta, coupling=coupling,
+                                density=r.density)
+                  for r in canonical_reservoirs()]
+    return build_system(np.diag([0.0, 1.0, 2.3])), reservoirs
 
 
 @pytest.fixture(scope="session")

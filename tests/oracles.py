@@ -121,6 +121,28 @@ def level_pair_jump_terms(model):
     return jump_terms
 
 
+def transition_graph_irreducible(system, reservoirs):
+    """Strong connectivity of the graph on the eigenlevels with an edge
+    e -> e' for every channel of fcslab.model.jump_channels with e != e',
+    the rule the trajectories' rate process once used.  For a nondegenerate
+    spectrum the jump blocks are multiples of |e'><e|; with a Hermitian
+    coupling and detailed balance every edge comes with its reverse, and
+    the commutant of the blocks is the scalars exactly when this graph is
+    strongly connected (Lebowitz & Spohn, J. Stat. Phys. 95, 333 (1999));
+    without edges, exactly when the system has one level."""
+    d = system.dim
+    edges = [(e, ep) for res in reservoirs
+             for _, _, _, e, ep, _ in jump_channels(system, res) if e != ep]
+    if not edges:
+        return d == 1
+    rows, cols = zip(*edges)
+    graph = scipy.sparse.csr_matrix((np.ones(len(edges)), (rows, cols)),
+                                    shape=(d, d))
+    n_comp, _ = scipy.sparse.csgraph.connected_components(
+        graph, directed=True, connection="strong")
+    return n_comp == 1
+
+
 def bohr_zero_block(matrix, system):
     """Block of a superoperator matrix (column-major vec) on the Bohr-
     frequency-0 sector span{|i><j| : E_i = E_j}, written in the energy

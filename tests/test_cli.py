@@ -662,6 +662,29 @@ def test_env_flags_are_recorded_in_the_manifest(config_path, tmp_path,
     assert manifests[0] == manifests[1]
 
 
+def test_jobs_and_seed_belong_to_trajectories(config_path, tmp_path,
+                                              monkeypatch):
+    """Only trajectories samples: moments refuses --seed and --jobs, and
+    FCSLAB_SEED and FCSLAB_JOBS leave its manifest alone."""
+    for flag in ("--seed", "--jobs"):
+        rc, _ = run(["moments", "--config", config_path,
+                     "--out", str(tmp_path / "flag"), flag, "3"])
+        assert rc == 2
+    assert not (tmp_path / "flag").exists()
+    manifests = []
+    for env in ({}, {"FCSLAB_SEED": "3", "FCSLAB_JOBS": "2"}):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        out = tmp_path / f"env{len(env)}"
+        rc, _ = run(["moments", "--config", config_path, "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest.pop("wall_time_s")
+        manifests.append(manifest)
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["parameters"] == {}
+
+
 def test_bad_flag_value_exits_2(config_path, tmp_path, capsys):
     rc, captured = run(["trajectories", "--config", config_path,
                         "--out", str(tmp_path), "--nsamples", "many"], capsys)

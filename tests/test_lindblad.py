@@ -31,6 +31,7 @@ from fcslab.scgf import ScgfSolver
 from conftest import (
     SIGMA_X,
     canonical_reservoirs,
+    counting_density,
     model_fleet,
     random_hermitian,
     random_model,
@@ -245,19 +246,11 @@ def test_pv_stall_reports_the_last_change():
     assert f"last change {change:.3e}" in str(err.value)
 
 
-def _counting(dens, sizes):
-    """The same density with every call's input size recorded."""
-    def fn(w):
-        sizes.append(np.size(w))
-        return dens.fn(w)
-    return dataclasses.replace(dens, fn=fn)
-
-
 def test_pv_one_density_call_per_level(monkeypatch):
     monkeypatch.setattr(fcslab.lindblad, "_MAX_POINTS", 1 << 40)
     for g, omega in _pv_cases()[::5]:
         sizes = []
-        principal_value(_counting(g, sizes), omega)
+        principal_value(counting_density(g, sizes), omega)
         levels = sizes[1:]
         assert sizes[0] == 1                     # G(omega)
         assert all(b == 2 * a for a, b in zip(levels, levels[1:]))
@@ -278,12 +271,12 @@ def test_pv_density_calls_stay_bounded(monkeypatch):
     for quad in (None, QuadratureParams(nodes=96, max_refine=3)):
         for g, omega in _pv_cases() + [NEAR_NODE]:
             sizes = []
-            value = principal_value(_counting(g, sizes), omega, quad)
+            value = principal_value(counting_density(g, sizes), omega, quad)
             assert max(sizes) <= fcslab.lindblad._MAX_POINTS
             with monkeypatch.context() as uncapped:
                 uncapped.setattr(fcslab.lindblad, "_MAX_POINTS", 1 << 40)
                 whole = []
-                assert principal_value(_counting(g, whole), omega,
+                assert principal_value(counting_density(g, whole), omega,
                                        quad) == value
             assert sum(sizes) == sum(whole)      # the same nodes, regrouped
             split += len(sizes) > len(whole)
@@ -306,7 +299,7 @@ def test_generator_build_evaluates_density_per_reservoir(qubit_model,
     real_pv = fcslab.lindblad.principal_value
 
     def density(res):
-        return _counting(real_density(res), sizes)
+        return counting_density(real_density(res), sizes)
 
     def pv(*args, **kwargs):
         pv_calls.append(args[1])
@@ -344,19 +337,20 @@ def test_vec_convention_and_sandwich():
 # level-shift operator
 # ---------------------------------------------------------------------------
 
-def test_upsilon_zero_coupling(qubit_system):
+def test_upsilon_zero_coupling():
     res = ReservoirSpec(label="off", beta=1.0,
                         coupling=np.zeros((2, 2)),
                         density=canonical_reservoirs()[0].density)
-    upsilon = compute_upsilon(qubit_system, [res])
+    upsilon = compute_upsilon(make_model(np.diag([0.5, -0.5]), [res],
+                                         lam=0.1))
     assert np.abs(upsilon).max() == 0.0
 
 
-def test_upsilon_qubit_hand_value(qubit_system):
+def test_upsilon_qubit_hand_value(qubit_model):
     """Upsilon for sigma_x coupling is diagonal in the energy basis with
     excited-state entry sum_k (-i pi G_k(1) - H_k(1)) and ground entry the
     omega = -1 analogue."""
-    upsilon = compute_upsilon(qubit_system, canonical_reservoirs())
+    upsilon = compute_upsilon(qubit_model)
     expect = np.zeros((2, 2), dtype=complex)
     for res in canonical_reservoirs():
         g = effective_density(res)
@@ -369,7 +363,7 @@ def test_upsilon_qubit_hand_value(qubit_system):
 
 def test_upsilon_dissipative_part_psd():
     for model in model_fleet(6, seed=21):
-        upsilon = compute_upsilon(model.system, model.reservoirs)
+        upsilon = compute_upsilon(model)
         diss = (upsilon.conj().T - upsilon) / 2j     # = pi sum M G >= 0
         evals = np.linalg.eigvalsh(diss)
         assert evals.min() >= -1e-10 * max(1.0, evals.max())

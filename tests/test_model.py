@@ -35,8 +35,10 @@ from fcslab.model import HERMITICITY_TOL, check_hermitian, jump_channels
 from conftest import (
     SIGMA_X,
     canonical_reservoirs,
+    model_fleet,
     random_hermitian,
     random_model,
+    weak_link_ladder,
 )
 
 
@@ -343,6 +345,25 @@ def test_irreducibility_decision_is_basis_independent(seed):
                 build_system(q @ e @ q.conj().T), rotated)
             assert ok_rot == ok
             assert (witness_rot is None) == ok
+
+
+def test_irreducibility_agrees_with_the_transition_graph():
+    """On a nondegenerate fleet, the reducible fixtures and the weak-link
+    ladder outside the window 1.3e-15 < eps < 1.6e-14 (where the
+    commutant's rank tolerance already calls a link of that size absent),
+    the commutant decision equals strong connectivity of the channels'
+    transition graph."""
+    cases = [(m.system, m.reservoirs) for m in model_fleet(40, seed=29)]
+    cases += [(build_system(e), reservoirs)
+              for e, reservoirs in _reducible_cases()]
+    cases += [weak_link_ladder(eps) for eps in (1e-6, 1e-13, 1e-16)]
+    decisions = []
+    for system, reservoirs in cases:
+        ok, _ = check_fgr_irreducibility(system, reservoirs)
+        assert ok == oracles.transition_graph_irreducible(system, reservoirs)
+        decisions.append(ok)
+    assert decisions[:40] == [True] * 40
+    assert decisions[40:] == [False, False, False, True, True, False]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,14 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import canonical_reservoirs, model_fleet
+from conftest import (
+    canonical_reservoirs,
+    counting_density,
+    model_fleet,
+    weak_link_ladder,
+)
 
+import fcslab.model
 import fcslab.trajectories
 
 from fcslab import (
@@ -21,6 +27,7 @@ from fcslab import (
     build_system,
     check_fgr_irreducibility,
     clt_test,
+    effective_density,
     empirical_scgf,
     entropy_asymmetry,
     make_model,
@@ -122,6 +129,51 @@ def test_rate_process_reads_the_generator_channels():
     assert len(rp.rates) == len(channels)
     assert not rp.irreducible
     assert not check_fgr_irreducibility(system, reservoirs)[0]
+
+
+def test_rates_take_g_from_the_channel(qubit):
+    """Each rate is 2 pi G(omega) |<j|D|i>|^2 with G(omega) bit for bit the
+    density's own value at that omega, on the README qubit and a fleet."""
+    for model in [qubit] + model_fleet(12, seed=29):
+        system = model.system
+        rp = build_rate_process(system, model.reservoirs)
+        v = system.eigenbasis
+        for m in range(len(rp.rates)):
+            res = model.reservoirs[rp.reservoirs[m]]
+            d_eig = v.conj().T @ np.asarray(res.coupling, dtype=complex) @ v
+            g = float(effective_density(res)(rp.omegas[m]))
+            i, j = rp.sources[m], rp.targets[m]
+            assert rp.rates[m] == 2.0 * np.pi * g * abs(d_eig[j, i]) ** 2
+
+
+def test_rate_process_evaluates_density_per_reservoir(qubit, monkeypatch):
+    """The rates read G from the channel table, which evaluates the density
+    once per reservoir on all level pairs; the irreducibility check reads
+    the table once more.  No rate makes a scalar call."""
+    sizes = []
+    real_density = fcslab.model.effective_density
+
+    def density(res):
+        return counting_density(real_density(res), sizes)
+
+    monkeypatch.setattr(fcslab.model, "effective_density", density)
+    build_rate_process(qubit.system, qubit.reservoirs)
+    assert sizes == [qubit.system.dim ** 2] * (2 * qubit.n_reservoirs)
+
+
+def test_weak_link_in_the_rank_window_is_reducible():
+    """At eps = 1e-14 the link to the top level is a channel, but the
+    commutant's rank tolerance calls it absent.  The rate process takes
+    that decision, so stationary() refuses instead of answering with the
+    top level's population silently zero."""
+    system, reservoirs = weak_link_ladder(1e-14)
+    rp = build_rate_process(system, reservoirs)
+    assert {(1, 2), (2, 1)} <= set(zip(rp.sources.tolist(),
+                                       rp.targets.tolist()))
+    assert not check_fgr_irreducibility(system, reservoirs)[0]
+    assert not rp.irreducible
+    with pytest.raises(EigenvalueCollision):
+        rp.stationary()
 
 
 def test_degenerate_spectrum_rejected():

@@ -8,7 +8,13 @@ from `perfbench/workloads.py`.  It prints one line per model,
 
 holding the sha256 of the principal values H_k(omega) of that model, one per
 reservoir k and Bohr frequency omega with G_k(omega) > 0, in reservoir then
-level-pair order.  Then comes one line `seed fleet[:18] digest` with the
+level-pair order, and one line per model,
+
+    seed model rates count sha256
+
+holding the sha256 of its `build_rate_process` arrays (sources, targets,
+reservoirs, rates, omegas and the irreducible flag), count being the number
+of transitions.  Then comes one line `seed fleet[:18] digest` with the
 digest that `perfbench/run.py` reports for the first 18 fleet requests,
 computed by its own `one_request` and `check_digests`.  Diffing the output
 of two checkouts shows whether a change moved any of these numbers:
@@ -56,8 +62,13 @@ def main(argv):
     for seed in range(lo, hi + 1):
         fleet = workloads.SpectralFleet(seed, root)
         for i in range(-1, fleet.cycle):
-            values = model_values(fcslab, fleet.prepare(i))
+            model = fleet.prepare(i)
+            values = model_values(fcslab, model)
             print(seed, i, len(values), run.digest(values))
+            rp = fcslab.build_rate_process(model.system, model.reservoirs)
+            arrays = [rp.sources, rp.targets, rp.reservoirs, rp.rates,
+                      rp.omegas, rp.irreducible]
+            print(seed, i, "rates", len(rp.rates), run.digest(arrays))
         records = [run.one_request(fleet, i) for i in range(fleet.cycle)]
         digests, _ = run.check_digests(records)
         name = f"fleet[:{run.FLEET_DIGEST_PREFIX}]"
