@@ -89,12 +89,24 @@ def _resolve(args, name, default=None, cast=str):
         return default
     try:
         return cast(value)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, ConfigError) as err:
         raise ConfigError(f"bad value for --{name}: {err}") from err
 
 
+def _finite(text):
+    """The float of a flag value; anything but a finite number raises
+    ConfigError."""
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        value = np.nan
+    if not np.isfinite(value):
+        raise ConfigError(f"{text!r} is not a finite number")
+    return value
+
+
 def _float_list(text):
-    return [float(x) for x in str(text).split(",") if x != ""]
+    return [_finite(x) for x in str(text).split(",") if x != ""]
 
 
 def _points(values, n_res, default):
@@ -129,7 +141,7 @@ def _nu_grid(text):
     parts = str(text).split(":")
     if len(parts) != 3:
         raise ConfigError("--nu must be start:stop:step")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = (_finite(p) for p in parts)
     if step <= 0 or stop < start:
         raise ConfigError("--nu needs step > 0 and stop >= start")
     n = int(round((stop - start) / step))
@@ -191,14 +203,13 @@ class _Emitter:
 
 def cmd_validate(cfg, args, emit):
     model = cfg.model
-    irreducible, witness = check_fgr_irreducibility(model.system,
-                                                    model.reservoirs)
+    irreducible = check_fgr_irreducibility(model.system, model.channels)
     payload = {
         "dim": model.system.dim,
         "energies": [float(e) for e in model.system.energies],
         "multiplicities": [int(m) for m in model.system.multiplicities],
         "bohr_set": [float(w) for w in model.system.bohr_frequencies],
-        "fgr_irreducible": bool(irreducible),
+        "fgr_irreducible": irreducible,
         "reservoirs": [{"label": r.label, "beta": float(r.beta),
                         "correlation_decay_rate": correlation_decay_rate(r)}
                        for r in model.reservoirs],
@@ -319,8 +330,8 @@ def cmd_fv_compare(cfg, args, emit):
         model, kappas, lams,
         n_modes=_resolve(args, "modes", 3, int),
         n_max=_resolve(args, "nocc", 2, int),
-        t_factor=_resolve(args, "tfactor", 1.0, float),
-        spacing_margin=_resolve(args, "margin", 0.8, float))
+        t_factor=_resolve(args, "tfactor", 1.0, _finite),
+        spacing_margin=_resolve(args, "margin", 0.8, _finite))
     rows = []
     for r in table.rows:
         rows.append([_fmt(r.lam), _fmt(r.t)] + [_fmt(k) for k in r.kappa]
@@ -339,7 +350,7 @@ def cmd_fv_tpm(cfg, args, emit):
     from .finite_volume import (assemble, characteristic_function,
                                 resonant_instance, tpm_distribution)
     model = cfg.model
-    t = _resolve(args, "tmax", 5.0, float)
+    t = _resolve(args, "tmax", 5.0, _finite)
     kappa = _single(_points(args.kappa, model.n_reservoirs,
                             [0.25 * _betas(model)]), "--kappa")
     if cfg.modes is not None:
@@ -348,7 +359,7 @@ def cmd_fv_tpm(cfg, args, emit):
     else:
         fv = resonant_instance(model, t, _resolve(args, "modes", 3, int),
                                _resolve(args, "nocc", 2, int),
-                               _resolve(args, "margin", 0.8, float))
+                               _resolve(args, "margin", 0.8, _finite))
     dist = tpm_distribution(fv, model.rho_system, t)
     chi = characteristic_function(fv, model.rho_system, kappa, t)
     laplace = dist.laplace(kappa)
@@ -375,12 +386,12 @@ def cmd_fv_tpm(cfg, args, emit):
 def cmd_transfer(cfg, args, emit):
     from .finite_volume import assemble
     from .scgf import ScgfSolver
-    from .transfer import (build_and_deform, compressed_step, extract_blocks,
-                           transfer_instance)
+    from .transfer import (N_BLOCK_DEFAULT, build_and_deform, compressed_step,
+                           extract_blocks, transfer_instance)
     model = cfg.model
     lam = _single(_resolve(args, "lam", default=[model.lam],
                            cast=_float_list), "--lambda")
-    tau = _resolve(args, "tau", 0.2, float)
+    tau = _resolve(args, "tau", 0.2, _finite)
     n_max = _resolve(args, "nmax", 2, int)
     kappa = _single(_points(args.kappa, model.n_reservoirs,
                             [0.25 * _betas(model)]), "--kappa")
@@ -393,11 +404,11 @@ def cmd_transfer(cfg, args, emit):
             model, lam, tau=tau, n_blocks=n_blocks,
             n_modes=_resolve(args, "modes", 3, int),
             n_occ=_resolve(args, "nocc", 2, int),
-            spacing_margin=_resolve(args, "margin", 1.0, float))
+            spacing_margin=_resolve(args, "margin", 1.0, _finite))
     blocks = extract_blocks(compressed_step(fv, kappa, tau, lam=lam),
                             n_max=n_max)
-    op = build_and_deform(blocks,
-                          n_block=_resolve(args, "nblock", 6, int))
+    op = build_and_deform(blocks, n_block=_resolve(args, "nblock",
+                                                   N_BLOCK_DEFAULT, int))
     f_fgr = lam * lam * ScgfSolver(model).leading(kappa).eigenvalue.real
     emit.json("transfer.json", {
         "lambda": lam,
@@ -434,7 +445,7 @@ def cmd_trajectories(cfg, args, emit):
     seed = _resolve(args, "seed", 0, int)
     jobs = _resolve(args, "jobs", os.cpu_count() or 1, int)
     n_samples = _resolve(args, "nsamples", 10_000, int)
-    horizon = _resolve(args, "horizon", None, float)
+    horizon = _resolve(args, "horizon", None, _finite)
     solver = ScgfSolver(model)
     if horizon is None:
         gap = solver.leading(np.zeros(model.n_reservoirs)).gap

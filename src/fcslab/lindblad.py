@@ -15,8 +15,8 @@ with level-shift operator
 
 and H_k(omega) the principal-value transform of G_k at omega.  Transitions
 are grouped by Bohr cluster (the secular form), A_k(omega) =
-sum_{e-e'=omega} 1_{E_e'} D_k 1_{E_e}, over the channels of
-`model.jump_channels`.
+sum_{e-e'=omega} 1_{E_e'} D_k 1_{E_e}, over the channels of the model's
+`model.jump_channels` table (`ModelConfig.channels`).
 
 At kappa = 0 the Heisenberg form annihilates the identity; its Hilbert-
 Schmidt adjoint (the state-picture generator, `GeneratorParts.dual`) is the
@@ -33,7 +33,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import ConfigError, QuadratureNotConverged
-from .model import effective_density, jump_channels
+from .model import effective_density
 
 # ---------------------------------------------------------------------------
 # vectorization
@@ -359,10 +359,10 @@ def compute_upsilon(model):
     quad = QuadratureParams.from_mapping(model.quadrature)
     d = model.system.dim
     upsilon = np.zeros((d, d), dtype=complex)
-    for res in model.reservoirs:
+    for res, channels in zip(model.reservoirs, model.channels):
         dens = effective_density(res)
         h_cache = {}
-        for omega, b, g, _, _, a in jump_channels(model.system, res):
+        for omega, b, g, _, _, a in channels:
             if b not in h_cache:
                 h_cache[b] = principal_value(dens, omega, quad)
             m = a.conj().T @ a          # 1_{E_e} D^* 1_{E_e'} D 1_{E_e}
@@ -378,17 +378,16 @@ def build_deformed_lindblad(model, kappa):
     and its jump operator sums the channels in order.
     """
     kappa = model.check_kappa(kappa)
-    system = model.system
-    d = system.dim
+    d = model.system.dim
 
     upsilon = compute_upsilon(model)
     eye = np.eye(d)
     drift = -1j * (np.kron(eye, upsilon) - np.kron(upsilon.conj(), eye))
 
     jump_terms = []
-    for k, res in enumerate(model.reservoirs):
+    for k, channels in enumerate(model.channels):
         groups = {}                 # Bohr index -> [omega, summed op, rate]
-        for omega, b, g, _, _, a in jump_channels(system, res):
+        for omega, b, g, _, _, a in channels:
             if b not in groups:
                 groups[b] = [omega, np.zeros((d, d), dtype=complex),
                              2.0 * np.pi * g]

@@ -16,6 +16,7 @@ G_k(-omega) = e^{-beta_k omega} G_k(omega) holds by construction.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import sys
 from dataclasses import dataclass, field
 
@@ -485,86 +486,60 @@ def correlation_decay_rate(reservoir):
 # jump channels and the irreducibility of the weak-coupling dynamics
 # ---------------------------------------------------------------------------
 
-def jump_channels(system, reservoir):
-    """The jump channels of one reservoir: the one list that the generator,
-    Upsilon, the irreducibility check and the rate process read.
+def jump_channels(system, reservoirs):
+    """The jump-channel table: the one list that the generator, Upsilon,
+    the irreducibility check and the rate process read.
 
-    Yields (omega, b, G(omega), e, e', A) in level-pair order, for every
-    pair with G(omega) > 0 and max|A| > CHANNEL_TOL * max(1, max|D|), where
-    omega = e - e', b = system.bohr_index[e, e'] and A = 1_{E_e'} D 1_{E_e}.
-    G is evaluated on all level pairs in one density call.
+    Returns one tuple per reservoir of (omega, b, G(omega), e, e', A) in
+    level-pair order, for every pair with G(omega) > 0 and
+    max|A| > CHANNEL_TOL * max(1, max|D|), where omega = e - e',
+    b = system.bohr_index[e, e'] and A = 1_{E_e'} D 1_{E_e} (read-only).
+    Each reservoir's G is evaluated on all level pairs in one density call.
+    A model holds its table as ModelConfig.channels.
     """
     energies = system.energies
     proj = system.projections
-    coupling = np.asarray(reservoir.coupling, dtype=complex)
-    scale = max(1.0, float(np.abs(coupling).max()))
     omegas = energies[:, None] - energies[None, :]
-    weights = effective_density(reservoir)(omegas.ravel()).reshape(
-        omegas.shape)
-    for e in range(len(energies)):
-        for ep in range(len(energies)):
-            g = float(weights[e, ep])
-            if g <= 0.0:
-                continue
-            a = proj[ep] @ coupling @ proj[e]
-            if np.abs(a).max() <= CHANNEL_TOL * scale:
-                continue
-            yield (float(energies[e] - energies[ep]),
-                   int(system.bohr_index[e, ep]), g, e, ep, a)
+    table = []
+    for res in reservoirs:
+        coupling = np.asarray(res.coupling, dtype=complex)
+        scale = max(1.0, float(np.abs(coupling).max()))
+        weights = effective_density(res)(omegas.ravel()).reshape(omegas.shape)
+        channels = []
+        for e in range(len(energies)):
+            for ep in range(len(energies)):
+                g = float(weights[e, ep])
+                if g <= 0.0:
+                    continue
+                a = proj[ep] @ coupling @ proj[e]
+                if np.abs(a).max() <= CHANNEL_TOL * scale:
+                    continue
+                a.setflags(write=False)
+                channels.append((float(energies[e] - energies[ep]),
+                                 int(system.bohr_index[e, ep]), g, e, ep, a))
+        table.append(tuple(channels))
+    return tuple(table)
 
 
-def _commutant_dimension(generators, dim):
-    """Dimension of {S : [S, A_i] = 0 for all i} and a basis of solutions.
+def check_fgr_irreducibility(system, channels):
+    """Whether the jump blocks A of a jump_channels table act irreducibly.
 
-    Column-major vec convention: vec(ASB) = (B^T kron A) vec(S), so
-    vec(SA - AS) = (A^T kron I - I kron A) vec(S).
-    """
-    eye = np.eye(dim)
-    if not generators:
-        # empty generator set: everything commutes
-        return dim * dim, np.eye(dim * dim, dtype=complex)
-    rows = [np.kron(a.T, eye) - np.kron(eye, a) for a in generators]
-    system = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(system)
-    tol = max(system.shape) * np.finfo(float).eps * (svals[0] if len(svals) else 1.0)
-    rank = int(np.sum(svals > tol))
-    null_dim = dim * dim - rank
-    null_basis = vh[rank:].conj().T     # columns span the commutant
-    return null_dim, null_basis
-
-
-def check_fgr_irreducibility(system, reservoirs):
-    """Decide whether the active jump channels generate an irreducible set.
-
-    The generator set is the jump blocks A of jump_channels over every
-    reservoir, the channels the generator is built from.  The commutant of
-    this set is computed by solving [S, A] = 0 as a linear system;
-    irreducible means its dimension is exactly 1 (multiples of the
-    identity).  The decision does not depend
-    on the basis the inputs are written in, so it is made once.
-
-    Returns (irreducible, witness): witness is None when irreducible,
-    otherwise a non-scalar commuting matrix.
+    Irreducible means the commutant {S : [S, A] = 0 for every A} is the
+    multiples of the identity.  Column-major vec convention:
+    vec(SA - AS) = (A^T kron I - I kron A) vec(S), so the commutant's
+    dimension is d^2 minus the rank of those matrices stacked, found by an
+    SVD.  The decision does not depend on the basis the inputs are written
+    in, so it is made once.
     """
     d = system.dim
-    gens = [a for res in reservoirs
-            for *_, a in jump_channels(system, res)]
-    null_dim, null_basis = _commutant_dimension(gens, d)
-    if null_dim == 1:
-        return True, None
-    # witness: commutant element orthogonal to the identity, Hermitized; an
-    # orthonormal basis of dimension >= 2 has a member off the identity
-    eye_vec = np.eye(d, dtype=complex).ravel(order="F") / np.sqrt(d)
-    for j in range(null_basis.shape[1]):
-        v = null_basis[:, j]
-        v = v - eye_vec * (eye_vec.conj() @ v)
-        if np.linalg.norm(v) > 1e-8:
-            break
-    w = (v / np.linalg.norm(v)).reshape(d, d, order="F")
-    h = 0.5 * (w + w.conj().T)
-    if np.abs(h).max() < 1e-10:
-        h = (w - w.conj().T) / 2j
-    return False, h
+    gens = [a for table in channels for *_, a in table]
+    if not gens:
+        return d == 1               # everything commutes
+    eye = np.eye(d)
+    stacked = np.vstack([np.kron(a.T, eye) - np.kron(eye, a) for a in gens])
+    svals = np.linalg.svd(stacked, full_matrices=False)[1]
+    tol = max(stacked.shape) * np.finfo(float).eps * svals[0]
+    return d * d - int(np.sum(svals > tol)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +606,11 @@ class ModelConfig:
     def n_reservoirs(self):
         return len(self.reservoirs)
 
+    @functools.cached_property
+    def channels(self):
+        """The model's jump_channels table, built on first use."""
+        return jump_channels(self.system, self.reservoirs)
+
     def with_lam(self, lam):
         """Copy of the model at a different coupling strength."""
         return dataclasses.replace(self, lam=float(lam))
@@ -640,6 +620,8 @@ class ModelConfig:
         if k.shape != (self.n_reservoirs,):
             raise ConfigError(
                 f"kappa must have one entry per reservoir, got shape {k.shape}")
+        if not np.all(np.isfinite(k)):
+            raise ConfigError(f"kappa must be finite, got {k.tolist()}")
         lo, hi = self.domain_box[:, 0], self.domain_box[:, 1]
         if np.any(k < lo) or np.any(k > hi):
             from .errors import KappaOutsideDomain

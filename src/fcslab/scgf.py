@@ -68,8 +68,7 @@ class ScgfSolver:
         self.parts = build_deformed_lindblad(model,
                                              np.zeros(model.n_reservoirs))
         self.dim = model.system.dim
-        ok, _ = check_fgr_irreducibility(model.system, model.reservoirs)
-        if not ok:
+        if not check_fgr_irreducibility(model.system, model.channels):
             warnings.warn(
                 "jump channels are reducible; the leading eigenvalue "
                 "need not be simple", SimpleEigenvalueWarning)

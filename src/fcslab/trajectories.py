@@ -140,10 +140,11 @@ def build_rate_process(system, reservoirs):
     d = system.dim
     energies = np.asarray(system.energies, dtype=float)
     v = system.eigenbasis
+    channels = jump_channels(system, reservoirs)
     sources, targets, res_idx, rates, omegas = [], [], [], [], []
-    for k, res in enumerate(reservoirs):
+    for k, (res, table) in enumerate(zip(reservoirs, channels)):
         d_eig = v.conj().T @ np.asarray(res.coupling, dtype=complex) @ v
-        for w, _, g, i, j, _ in jump_channels(system, res):
+        for w, _, g, i, j, _ in table:
             if i == j:
                 continue
             sources.append(i)
@@ -164,7 +165,7 @@ def build_rate_process(system, reservoirs):
         reservoirs=np.array(res_idx, dtype=np.intp),
         rates=rates, omegas=np.array(omegas, dtype=float),
         exit_rates=exit_rates,
-        irreducible=check_fgr_irreducibility(system, reservoirs)[0])
+        irreducible=check_fgr_irreducibility(system, channels))
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +321,8 @@ def sample(rp, horizon, n_samples, seed, jobs=1):
     spawn_key=(sample index,)), starting from the stationary distribution,
     so results do not depend on jobs.  seed must be a nonnegative integer.
     """
-    if horizon <= 0:
-        raise ConfigError("horizon must be positive")
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ConfigError(f"horizon must be finite and positive, got {horizon}")
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ConfigError("need at least one sample")

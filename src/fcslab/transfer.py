@@ -34,7 +34,6 @@ from .finite_volume import (
 from .lindblad import unvec
 
 N_BLOCK_DEFAULT = 6
-N_MAX_DEFAULT = 5
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +169,7 @@ class PolymerBlocks:
         return self.blocks[0].shape[0]
 
 
-def extract_blocks(cd, n_max=N_MAX_DEFAULT):
+def extract_blocks(cd, n_max):
     """Telescope the compressed dynamics into W_1..W_n_max.
 
     Conditions the composition identity on its last factor,

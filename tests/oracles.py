@@ -107,14 +107,14 @@ def semigroup(mat, t, s):
 def level_pair_jump_terms(model):
     """Jump terms with one entry per level pair instead of one per Bohr
     frequency: (k, omega, 2 pi G_k(omega) kron(a^T, a^*)) with
-    a = 1_{E_e'} D_k 1_{E_e} for every channel of reservoir k that
-    fcslab.model.jump_channels lists.  This is the "diagonal" generator that
+    a = 1_{E_e'} D_k 1_{E_e} for every channel of reservoir k in the
+    model's fcslab.model.jump_channels table.  This is the "diagonal" generator that
     fcslab.lindblad once built as a variant.  On the Bohr-frequency-0 block
     the cross terms between level pairs of one frequency vanish, so there
     it equals the secular generator."""
     jump_terms = []
-    for k, res in enumerate(model.reservoirs):
-        for omega, _, g, _, _, a in jump_channels(model.system, res):
+    for k, channels in enumerate(model.channels):
+        for omega, _, g, _, _, a in channels:
             rate = 2.0 * np.pi * g
             jump_terms.append((k, omega,
                                rate * np.kron(a.T, a.conj().T)))
@@ -131,8 +131,8 @@ def transition_graph_irreducible(system, reservoirs):
     strongly connected (Lebowitz & Spohn, J. Stat. Phys. 95, 333 (1999));
     without edges, exactly when the system has one level."""
     d = system.dim
-    edges = [(e, ep) for res in reservoirs
-             for _, _, _, e, ep, _ in jump_channels(system, res) if e != ep]
+    edges = [(e, ep) for channels in jump_channels(system, reservoirs)
+             for _, _, _, e, ep, _ in channels if e != ep]
     if not edges:
         return d == 1
     rows, cols = zip(*edges)

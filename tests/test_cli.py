@@ -692,6 +692,53 @@ def test_bad_flag_value_exits_2(config_path, tmp_path, capsys):
     assert "nsamples" in json.loads(captured.err)["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["generator", "--kappa", "nan,0"],
+    ["scgf-scan", "--kappa", "nan,0"],
+    ["transfer", "--kappa", "nan,0"],
+    ["fv-compare", "--kappa", "nan,0"],
+    ["fv-tpm", "--kappa", "nan,0"],
+    ["trajectories", "--kappa", "nan,0", "--nsamples", "10", "--jobs", "1"],
+    ["gc-check", "--nu", "0:nan:0.1"],
+    ["scgf-scan", "--nu", "0:1:nan"],
+    ["transfer", "--tau", "inf"],
+    ["fv-compare", "--lambda", "0.1,nan"],
+])
+def test_non_finite_flag_exits_2(config_path, tmp_path, capsys, argv):
+    rc, captured = run(argv[:1] + ["--config", config_path,
+                                   "--out", str(tmp_path)] + argv[1:], capsys)
+    assert rc == 2
+    payload = json.loads(captured.err)
+    assert payload["error"] == "ConfigError"
+    assert "not a finite number" in payload["message"]
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_non_finite_flag_from_environment_exits_2(config_path, tmp_path,
+                                                  capsys, monkeypatch):
+    monkeypatch.setenv("FCSLAB_TMAX", "inf")
+    rc, captured = run(["fv-tpm", "--config", config_path,
+                        "--out", str(tmp_path)], capsys)
+    assert rc == 2
+    assert json.loads(captured.err)["message"] == \
+        "bad value for --tmax: 'inf' is not a finite number"
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_non_finite_horizon_exits_2(config_path, tmp_path, horizon):
+    """A horizon of nan or inf would never end the Gillespie loop.  The run
+    is a fresh process with a timeout, so that a regression fails instead
+    of hanging the suite."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "fcslab", "trajectories", "--config",
+         config_path, "--out", str(tmp_path), "--horizon", horizon,
+         "--nsamples", "10", "--jobs", "1"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"] == "ConfigError"
+
+
 def test_kappa_wrong_arity_exits_2(config_path, tmp_path, capsys):
     rc, captured = run(["scgf-scan", "--config", config_path,
                         "--out", str(tmp_path), "--kappa", "0.1,0.2,0.3"],

@@ -25,7 +25,6 @@ from fcslab import (
 )
 from fcslab.errors import ConfigError, QuadratureNotConverged
 from fcslab.lindblad import _gauss_rule
-from fcslab.model import jump_channels
 from fcslab.scgf import ScgfSolver
 
 from conftest import (
@@ -291,8 +290,14 @@ def test_pv_split_levels_equal_reference(monkeypatch):
             oracles.principal_value_reference(g, omega), omega
 
 
-def test_generator_build_evaluates_density_per_reservoir(qubit_model,
-                                                         monkeypatch):
+def _fresh_qubit_model():
+    """The README qubit as a new model object, whose channel table is not
+    built yet (the session qubit_model may already hold one)."""
+    return make_model(np.diag([0.5, -0.5]), canonical_reservoirs(), lam=0.1)
+
+
+def test_generator_build_evaluates_density_per_reservoir(monkeypatch):
+    model = _fresh_qubit_model()
     sizes = []
     pv_calls = []
     real_density = fcslab.model.effective_density
@@ -308,12 +313,35 @@ def test_generator_build_evaluates_density_per_reservoir(qubit_model,
     monkeypatch.setattr(fcslab.model, "effective_density", density)
     monkeypatch.setattr(fcslab.lindblad, "effective_density", density)
     monkeypatch.setattr(fcslab.lindblad, "principal_value", pv)
-    ScgfSolver(qubit_model)
+    ScgfSolver(model)
     assert len(pv_calls) == 4
     # one scalar call per principal value, for G(omega); everything else is
-    # one call on all level pairs of a reservoir, or a refinement level
+    # the channel table's one call on all level pairs of a reservoir, or a
+    # refinement level
     assert sizes.count(1) == len(pv_calls)
-    assert sizes.count(4) == 3 * qubit_model.n_reservoirs
+    assert sizes.count(4) == model.n_reservoirs
+
+
+def test_second_solver_builds_no_channel_table(monkeypatch):
+    """A model builds its channel table once (ModelConfig.channels): the
+    generator, Upsilon and the irreducibility check of a solver read it, a
+    second solver on the same model reads it again, and with_lam gives a
+    new model with a table of its own."""
+    model = _fresh_qubit_model()
+    calls = []
+    real_table = fcslab.model.jump_channels
+
+    def table(*args):
+        calls.append(args)
+        return real_table(*args)
+
+    monkeypatch.setattr(fcslab.model, "jump_channels", table)
+    ScgfSolver(model)
+    assert len(calls) == 1
+    ScgfSolver(model)
+    assert len(calls) == 1
+    ScgfSolver(model.with_lam(0.2))
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +578,8 @@ def test_channel_rates_match_oracle(qubit_model):
     down, up = oracles.qubit_rates()
     got_down = {}
     got_up = {}
-    for k, res in enumerate(qubit_model.reservoirs):
-        for omega, _, g, _, _, _ in jump_channels(qubit_model.system, res):
+    for k, channels in enumerate(qubit_model.channels):
+        for omega, _, g, _, _, _ in channels:
             rate = 2.0 * np.pi * g
             if omega > 0:
                 got_down[k] = rate

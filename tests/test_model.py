@@ -238,29 +238,25 @@ def test_density_validation():
 # irreducibility
 # ---------------------------------------------------------------------------
 
+def _irreducible(system, reservoirs):
+    return check_fgr_irreducibility(system, jump_channels(system, reservoirs))
+
+
 def test_irreducibility_qubit_sigma_x(qubit_system):
-    ok, witness = check_fgr_irreducibility(qubit_system, canonical_reservoirs())
-    assert ok and witness is None
+    assert _irreducible(qubit_system, canonical_reservoirs()) is True
 
 
 def test_irreducibility_identity_coupling(qubit_system):
     res = ReservoirSpec(label="id", beta=1.0, coupling=np.eye(2),
                         density=canonical_reservoirs()[0].density)
-    ok, witness = check_fgr_irreducibility(qubit_system, [res])
-    assert not ok
-    assert witness is not None
-    assert abs(np.trace(witness)) < 1e-8
-    # non-scalar: distance from multiples of the identity
-    avg = np.trace(witness) / 2
-    assert np.abs(witness - avg * np.eye(2)).max() > 1e-3
+    assert _irreducible(qubit_system, [res]) is False
 
 
 def test_irreducibility_diagonal_coupling(qubit_system):
     res = ReservoirSpec(label="z", beta=1.0,
                         coupling=np.diag([1.0, -1.0]),
                         density=canonical_reservoirs()[0].density)
-    ok, witness = check_fgr_irreducibility(qubit_system, [res])
-    assert not ok and witness is not None
+    assert _irreducible(qubit_system, [res]) is False
 
 
 def test_irreducibility_block_coupling():
@@ -270,14 +266,7 @@ def test_irreducibility_block_coupling():
     d[0, 1] = d[1, 0] = 1.0
     res = ReservoirSpec(label="b", beta=1.0, coupling=d,
                         density=canonical_reservoirs()[0].density)
-    ok, witness = check_fgr_irreducibility(build_system(e), [res])
-    assert not ok and witness is not None
-    # witness commutes with every active jump block
-    s = build_system(e)
-    for a in range(2):
-        for b in range(2):
-            blk = s.projections[a] @ d @ s.projections[b]
-            assert np.abs(witness @ blk - blk @ witness).max() < 1e-8
+    assert _irreducible(build_system(e), [res]) is False
 
 
 def test_irreducibility_unitary_invariance(qubit_system):
@@ -288,8 +277,7 @@ def test_irreducibility_unitary_invariance(qubit_system):
     res_rot = ReservoirSpec(label=res.label, beta=res.beta,
                             coupling=q @ res.coupling @ q.conj().T,
                             density=res.density)
-    ok, _ = check_fgr_irreducibility(build_system(e_rot), [res_rot])
-    assert ok
+    assert _irreducible(build_system(e_rot), [res_rot])
 
 
 def test_irreducibility_reads_the_generator_channels(qubit_system):
@@ -298,13 +286,12 @@ def test_irreducibility_reads_the_generator_channels(qubit_system):
     irreducibility check decides on the same two channels."""
     res = ReservoirSpec(label="weak", beta=1.0, coupling=5e-15 * SIGMA_X,
                         density=canonical_reservoirs()[0].density)
-    channels = list(jump_channels(qubit_system, res))
-    assert sorted(c[0] for c in channels) == [-1.0, 1.0]
     model = make_model(qubit_system.hamiltonian, [res], lam=0.1)
+    (channels,) = model.channels
+    assert sorted(c[0] for c in channels) == [-1.0, 1.0]
     parts = build_deformed_lindblad(model, np.zeros(1))
     assert sorted(omega for _, omega, _ in parts.jump_terms) == [-1.0, 1.0]
-    ok, witness = check_fgr_irreducibility(qubit_system, [res])
-    assert ok and witness is None
+    assert check_fgr_irreducibility(model.system, model.channels)
 
 
 def _reducible_cases():
@@ -330,8 +317,7 @@ def test_irreducibility_decision_is_basis_independent(seed):
     model = random_model(rng)
     for e, reservoirs in ([(model.system.hamiltonian, model.reservoirs)]
                           + _reducible_cases()):
-        ok, witness = check_fgr_irreducibility(build_system(e), reservoirs)
-        assert (witness is None) == ok
+        ok = _irreducible(build_system(e), reservoirs)
         d = e.shape[0]
         for _ in range(2):
             q = np.linalg.qr(rng.normal(size=(d, d))
@@ -341,10 +327,8 @@ def test_irreducibility_decision_is_basis_independent(seed):
                                      density=r.density,
                                      zero_frequency=r.zero_frequency)
                        for r in reservoirs]
-            ok_rot, witness_rot = check_fgr_irreducibility(
-                build_system(q @ e @ q.conj().T), rotated)
-            assert ok_rot == ok
-            assert (witness_rot is None) == ok
+            assert _irreducible(build_system(q @ e @ q.conj().T),
+                                rotated) == ok
 
 
 def test_irreducibility_agrees_with_the_transition_graph():
@@ -359,7 +343,7 @@ def test_irreducibility_agrees_with_the_transition_graph():
     cases += [weak_link_ladder(eps) for eps in (1e-6, 1e-13, 1e-16)]
     decisions = []
     for system, reservoirs in cases:
-        ok, _ = check_fgr_irreducibility(system, reservoirs)
+        ok = _irreducible(system, reservoirs)
         assert ok == oracles.transition_graph_irreducible(system, reservoirs)
         decisions.append(ok)
     assert decisions[:40] == [True] * 40
@@ -415,6 +399,9 @@ def test_kappa_domain_check(qubit_model):
         qubit_model.check_kappa([5.0, 0.0])
     with pytest.raises(ConfigError):
         qubit_model.check_kappa([0.1])
+    for bad in ([np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(ConfigError, match="finite"):
+            qubit_model.check_kappa(bad)
 
 
 # ---------------------------------------------------------------------------

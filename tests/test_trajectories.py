@@ -3,6 +3,10 @@ against the full weak-coupling generator, seeded Monte Carlo statistics,
 and the central-limit / fluctuation-relation checks."""
 
 import dataclasses
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,15 +124,15 @@ def test_rate_process_reads_the_generator_channels():
                   for r in canonical_reservoirs()]
     system = build_system(q @ np.diag([0.0, 1.0, 5.0]) @ q.conj().T)
     rp = build_rate_process(system, reservoirs)
-    channels = {(k, e, ep) for k, res in enumerate(reservoirs)
-                for _, _, _, e, ep, _ in jump_channels(system, res)
-                if e != ep}
+    table = jump_channels(system, reservoirs)
+    channels = {(k, e, ep) for k, rows in enumerate(table)
+                for _, _, _, e, ep, _ in rows if e != ep}
     assert len(channels) == 4
     assert set(zip(rp.reservoirs.tolist(), rp.sources.tolist(),
                    rp.targets.tolist())) == channels
     assert len(rp.rates) == len(channels)
     assert not rp.irreducible
-    assert not check_fgr_irreducibility(system, reservoirs)[0]
+    assert not check_fgr_irreducibility(system, table)
 
 
 def test_rates_take_g_from_the_channel(qubit):
@@ -149,7 +153,7 @@ def test_rates_take_g_from_the_channel(qubit):
 def test_rate_process_evaluates_density_per_reservoir(qubit, monkeypatch):
     """The rates read G from the channel table, which evaluates the density
     once per reservoir on all level pairs; the irreducibility check reads
-    the table once more.  No rate makes a scalar call."""
+    the same table.  No rate makes a scalar call."""
     sizes = []
     real_density = fcslab.model.effective_density
 
@@ -158,7 +162,7 @@ def test_rate_process_evaluates_density_per_reservoir(qubit, monkeypatch):
 
     monkeypatch.setattr(fcslab.model, "effective_density", density)
     build_rate_process(qubit.system, qubit.reservoirs)
-    assert sizes == [qubit.system.dim ** 2] * (2 * qubit.n_reservoirs)
+    assert sizes == [qubit.system.dim ** 2] * qubit.n_reservoirs
 
 
 def test_weak_link_in_the_rank_window_is_reducible():
@@ -170,7 +174,8 @@ def test_weak_link_in_the_rank_window_is_reducible():
     rp = build_rate_process(system, reservoirs)
     assert {(1, 2), (2, 1)} <= set(zip(rp.sources.tolist(),
                                        rp.targets.tolist()))
-    assert not check_fgr_irreducibility(system, reservoirs)[0]
+    assert not check_fgr_irreducibility(
+        system, jump_channels(system, reservoirs))
     assert not rp.irreducible
     with pytest.raises(EigenvalueCollision):
         rp.stationary()
@@ -253,6 +258,31 @@ def test_sample_argument_guards(qubit_process):
     for seed in (-1, True, 1.5, None, "3"):
         with pytest.raises(ConfigError):
             sample(qubit_process, 1.0, 10, seed=seed)
+
+
+def test_sample_refuses_a_non_finite_horizon(qubit_process, tmp_path):
+    """With horizon nan or inf the Gillespie loop's t > horizon is never
+    true, so sample refuses both.  The calls run in a fresh process with a
+    timeout, so that a regression fails instead of hanging the suite."""
+    path = tmp_path / "process.pickle"
+    path.write_bytes(pickle.dumps(qubit_process))
+    code = "\n".join([
+        "import pickle, sys",
+        "sys.path.insert(0, sys.argv[1])",
+        "from fcslab.errors import ConfigError",
+        "from fcslab.trajectories import sample",
+        "rp = pickle.loads(open(sys.argv[2], 'rb').read())",
+        "for horizon in (float('nan'), float('inf')):",
+        "    try:",
+        "        sample(rp, horizon, 10, seed=0)",
+        "    except ConfigError as err:",
+        "        print(err)"])
+    src = str(Path(fcslab.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code, src, str(path)],
+                         capture_output=True, text=True, timeout=60,
+                         check=True).stdout
+    assert out.splitlines() == [
+        f"horizon must be finite and positive, got {h}" for h in ("nan", "inf")]
 
 
 REFERENCE_SEEDS = [0, 3, 2 ** 32, 2 ** 64 + 5]
